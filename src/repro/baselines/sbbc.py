@@ -34,7 +34,7 @@ from repro.engine.gluon import TARGET_ALL_PROXIES, TARGET_IN_EDGES
 from repro.engine.partition import PartitionedGraph
 from repro.engine.stats import EngineRun
 from repro.graph.digraph import DiGraph
-from repro.runtime.arrays import ColumnBlock, HostArena, expand_csr
+from repro.runtime.arrays import ExchangeBatch, HostArena, expand_csr
 from repro.runtime.plane import GluonArrayPlane, GluonPlane, resolve_partition
 from repro.runtime.superstep import SuperstepRuntime
 
@@ -346,7 +346,9 @@ class _ArraySourceExecutor:
         A = self.arena
         H = self.H
         rledger = obs.current().rounds
-        pending: list = [None] * H
+        # Staged candidates and fires both carry (d, σ).
+        no_rows = ExchangeBatch.empty(H, (np.int64, np.float64))
+        pending = no_rows
         # View construction only — every value read happens inside the
         # step closure, after that round's broadcast delivered.
         fd = A.fin_dist[:, 0]  # repro-lint: disable=RL301
@@ -361,30 +363,15 @@ class _ArraySourceExecutor:
             np.zeros(1, dtype=np.int64),
             np.ones(1, dtype=np.float64),
         )
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
+        empty = (no_rows.gids, *no_rows.cols)
 
         def step(rnd: int, rs) -> bool:
             nonlocal pending, newly
             inbox = gluon.reduce_to_masters(pending, FWD_PAYLOAD_BYTES, 1, rs)
-            pending = [None] * H
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                d = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.int64, copy=False)
-                sg = np.concatenate(
-                    [blk.cols[2] for _h, blk in got]
-                ).astype(np.float64, copy=False)
+            if len(inbox):
+                rs.charge("struct_ops", inbox.counts())
+                gi = inbox.gids
+                _snd, d, sg = inbox.cols
                 fresh = self.settled_d[gi] == INF
                 assert (
                     d[~fresh] > self.settled_d[gi[~fresh]]
@@ -403,19 +390,16 @@ class _ArraySourceExecutor:
                     newly = (ug[ordp], d[first][ordp], acc[ordp])
 
             new_g, new_d, new_sg = newly
-            blocks: list = [None] * H
+            fires = no_rows
             level = int(new_g.size)
             if level:
                 self.settled_d[new_g] = new_d
                 self.settled_sg[new_g] = new_sg
                 self._order.append(new_g)
-                hosts_f = pg.master_of[new_g]
-                for h, c in enumerate(np.bincount(hosts_f, minlength=H)):
-                    if c:
-                        rs.compute[h].vertex_ops += int(c)
-                blocks = GluonArrayPlane._split_by_dest(
-                    new_g, hosts_f, [new_d, new_sg], H
+                fires = ExchangeBatch.grouped(
+                    pg.master_of[new_g], new_g, (new_d, new_sg), H
                 )
+                rs.charge("vertex_ops", fires.counts())
             if rledger is not None:
                 # Level-synchronous settling: this round's frontier is
                 # exactly the BFS level that settles in it.
@@ -423,40 +407,20 @@ class _ArraySourceExecutor:
             newly = empty
 
             deliveries = gluon.broadcast_from_masters(
-                blocks, TARGET_ALL_PROXIES, FWD_PAYLOAD_BYTES, 1, rs
+                fires, TARGET_ALL_PROXIES, FWD_PAYLOAD_BYTES, 1, rs
             )
 
-            present = [
-                (h, blk) for h, blk in enumerate(deliveries)
-                if blk is not None and len(blk)
-            ]
-            if present:
-                lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-                hs = np.repeat(
-                    np.array([h for h, _blk in present], dtype=np.int64), lens
-                )
-                gidv = np.concatenate([blk.gids for _h, blk in present])
-                dv = np.concatenate(
-                    [blk.cols[0] for _h, blk in present]
-                ).astype(np.int64, copy=False)
-                sgv = np.concatenate(
-                    [blk.cols[1] for _h, blk in present]
-                ).astype(np.float64, copy=False)
-                m = int(gidv.size)
-                lid = A.lut[hs, gidv]
+            if len(deliveries):
+                hs = deliveries.host
+                dv, sgv = deliveries.cols
+                m = len(deliveries)
+                lid = A.lut[hs, deliveries.gids]
                 fd[lid] = dv
                 fsg[lid] = sgv
                 fpos[lid] = np.arange(m, dtype=np.int64)
-                for (h, _blk), cnt in zip(present, lens.tolist()):
-                    rs.compute[h].vertex_ops += cnt
+                rs.charge("vertex_ops", deliveries.counts())
                 deg = A.out_offsets[lid + 1] - A.out_offsets[lid]
-                block_starts = np.zeros(lens.size, dtype=np.int64)
-                np.cumsum(lens[:-1], out=block_starts[1:])
-                for (h, _blk), e in zip(
-                    present, np.add.reduceat(deg, block_starts).tolist()
-                ):
-                    if e:
-                        rs.compute[h].edge_ops += int(e)
+                rs.charge("edge_ops", np.bincount(hs, deg, H))
                 item_of, w = expand_csr(A.out_offsets, A.out_targets, lid)
                 if w.size:
                     # Open ⟺ not settled in an earlier round and not
@@ -482,29 +446,20 @@ class _ArraySourceExecutor:
                             uw = wt[upd]
                             np.add.at(csg, uw, sv[upd])
                             dirty[uw] = True
-                            for h, c in enumerate(
-                                np.bincount(
-                                    hs[item_of[sel[upd]]], minlength=H
-                                )
-                            ):
-                                if c:
-                                    rs.compute[h].struct_ops += int(c)
+                            rs.charge(
+                                "struct_ops",
+                                np.bincount(hs[item_of[sel[upd]]], minlength=H),
+                            )
                 fpos[lid] = -1
 
-            pending = [None] * H
             rows = np.nonzero(dirty)[0]
             if rows.size == 0:
+                pending = no_rows
                 return False
-            d_sel = cd[rows]
-            sg_sel = csg[rows]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(
-                        g_sel[a:b], (d_sel[a:b], sg_sel[a:b])
-                    )
+            # Arena rows are host-contiguous, so staging by row is host-sorted.
+            pending = ExchangeBatch(
+                A.host_of[rows], A.gids[rows], (cd[rows], csg[rows]), H
+            )
             dirty[rows] = False
             return True
 
@@ -532,37 +487,30 @@ class _ArraySourceExecutor:
         pdel = A.partial_delta[:, 0]
         ddirty = A.delta_dirty[:, 0]
         rledger = obs.current().rounds
-        pending: list = [None] * H
+        no_pending = ExchangeBatch.empty(H, (np.float64,))
+        pending = no_pending
+        no_fires = ExchangeBatch.empty(H, (np.float64, np.int64))
 
         def step(rnd: int, rs) -> bool:
             nonlocal pending
             inbox = gluon.reduce_to_masters(pending, BWD_PAYLOAD_BYTES, 1, rs)
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                pd = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.float64, copy=False)
+            if len(inbox):
+                rs.charge("struct_ops", inbox.counts())
                 # Item-order accumulation — the dict plane's `+=` sequence.
-                np.add.at(self.delta, gi, pd)
+                np.add.at(self.delta, inbox.gids, inbox.cols[1])
 
             level = max_level - rnd + 1
             fires_g = so[lv == level]
-            blocks: list = [None] * H
+            fires = no_fires
             if fires_g.size:
                 coeff = (1.0 + self.delta[fires_g]) / self.settled_sg[fires_g]
-                hosts_f = pg.master_of[fires_g]
-                for h, c in enumerate(np.bincount(hosts_f, minlength=H)):
-                    if c:
-                        rs.compute[h].vertex_ops += int(c)
-                blocks = GluonArrayPlane._split_by_dest(
-                    fires_g, hosts_f, [coeff, self.settled_d[fires_g]], H
+                fires = ExchangeBatch.grouped(
+                    pg.master_of[fires_g],
+                    fires_g,
+                    (coeff, self.settled_d[fires_g]),
+                    H,
                 )
+                rs.charge("vertex_ops", fires.counts())
             if rledger is not None:
                 # The reverse walk fires level max_level - rnd + 1 whole:
                 # each settled vertex's dependency finalizes exactly once.
@@ -571,36 +519,16 @@ class _ArraySourceExecutor:
                 )
 
             deliveries = gluon.broadcast_from_masters(
-                blocks, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, 1, rs
+                fires, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, 1, rs
             )
 
-            present = [
-                (h, blk) for h, blk in enumerate(deliveries)
-                if blk is not None and len(blk)
-            ]
-            if present:
-                lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-                hs = np.repeat(
-                    np.array([h for h, _blk in present], dtype=np.int64), lens
-                )
-                gidv = np.concatenate([blk.gids for _h, blk in present])
-                coeff = np.concatenate(
-                    [blk.cols[0] for _h, blk in present]
-                ).astype(np.float64, copy=False)
-                dv = np.concatenate(
-                    [blk.cols[1] for _h, blk in present]
-                ).astype(np.int64, copy=False)
-                lid = A.lut[hs, gidv]
-                for (h, _blk), cnt in zip(present, lens.tolist()):
-                    rs.compute[h].vertex_ops += cnt
+            if len(deliveries):
+                hs = deliveries.host
+                coeff, dv = deliveries.cols
+                lid = A.lut[hs, deliveries.gids]
+                rs.charge("vertex_ops", deliveries.counts())
                 deg = A.in_offsets[lid + 1] - A.in_offsets[lid]
-                block_starts = np.zeros(lens.size, dtype=np.int64)
-                np.cumsum(lens[:-1], out=block_starts[1:])
-                for (h, _blk), e in zip(
-                    present, np.add.reduceat(deg, block_starts).tolist()
-                ):
-                    if e:
-                        rs.compute[h].edge_ops += int(e)
+                rs.charge("edge_ops", np.bincount(hs, deg, H))
                 item_of, wp = expand_csr(A.in_offsets, A.in_sources, lid)
                 if wp.size:
                     sel = np.nonzero(fd[wp] == dv[item_of] - 1)[0]
@@ -608,23 +536,18 @@ class _ArraySourceExecutor:
                         wt = wp[sel]
                         np.add.at(pdel, wt, fsg[wt] * coeff[item_of[sel]])
                         ddirty[wt] = True
-                        for h, c in enumerate(
-                            np.bincount(hs[item_of[sel]], minlength=H)
-                        ):
-                            if c:
-                                rs.compute[h].struct_ops += int(c)
+                        rs.charge(
+                            "struct_ops",
+                            np.bincount(hs[item_of[sel]], minlength=H),
+                        )
 
-            pending = [None] * H
             rows = np.nonzero(ddirty)[0]
             if rows.size == 0:
+                pending = no_pending
                 return False
-            pd_sel = pdel[rows]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(g_sel[a:b], (pd_sel[a:b],))
+            pending = ExchangeBatch(
+                A.host_of[rows], A.gids[rows], (pdel[rows],), H
+            )
             pdel[rows] = 0.0
             ddirty[rows] = False
             return True

@@ -55,7 +55,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.runtime.arrays import (
     BIG,
-    ColumnBlock,
+    ExchangeBatch,
     HostArena,
     MasterColumns,
     RowStateView,
@@ -637,6 +637,10 @@ class _ArrayBatchExecutor:
             resilience.new_invariant_checker() if resilience is not None else None
         )
         self.arena = HostArena(pg.parts, self.k, self.n)
+        #: The empty forward exchange (staged and fired rows are (si, d, σ)).
+        self._no_fwd = ExchangeBatch.empty(
+            self.H, (np.int64, np.int64, np.float64)
+        )
         self.masters = MasterColumns(self.k, self.n, self.H)
         for si, s in enumerate(batch):
             self.masters.initialize_source(si, int(s))
@@ -666,19 +670,11 @@ class _ArrayBatchExecutor:
         function of the contribution table).
         """
         M = self.masters
-        present = [
-            (h, blk) for h, blk in enumerate(inbox)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        if not len(inbox):
             return
-        for h, blk in present:
-            rs.compute[h].struct_ops += 2 * len(blk)  # flat-map lookup + update
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        snd = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        si = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
-        d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
-        sg = np.concatenate([blk.cols[3] for _h, blk in present]).astype(np.float64, copy=False)
+        rs.charge("struct_ops", 2 * inbox.counts())  # flat-map lookup + update
+        gids = inbox.gids
+        snd, si, d, sg = inbox.cols
         M.register_new(gids)
         key = np.sort((snd * self.k + si) * self.n + gids)
         if key.size > 1 and (key[1:] == key[:-1]).any():
@@ -713,7 +709,7 @@ class _ArrayBatchExecutor:
         The head of each master's unfired schedule is the min of
         ``d*(k+1)+si`` over unfired present cells; it fires when
         ``d + sent_prefix + 1 == rnd``, exactly ``next_fire``.
-        Returns (per-host fire blocks, fired count, any_pending).
+        Returns (fire batch, fired count, any_pending).
         """
         M = self.masters
         kmin = M.schedule_key().min(axis=0)
@@ -723,7 +719,7 @@ class _ArrayBatchExecutor:
         missed = has & (due < rnd)
         assert not missed.any(), "missed fire: an entry was due earlier"
         g = np.nonzero(fire)[0]
-        blocks = [None] * self.H
+        fires = self._no_fwd
         if g.size:
             g = g[M.order_by_seq(g)]
             si_f = (kmin[g] % (self.k + 1)).astype(np.int64, copy=False)
@@ -731,68 +727,45 @@ class _ArrayBatchExecutor:
             M.fired[si_f, g] = True
             M.tau[si_f, g] = rnd
             M.sent_prefix[g] += 1
-            hosts_f = self.pg.master_of[g]
-            blocks = GluonArrayPlane._split_by_dest(
-                g, hosts_f, [si_f, d_f, M.best_sigma[si_f, g]], self.H
+            fires = ExchangeBatch.grouped(
+                self.pg.master_of[g], g, (si_f, d_f, M.best_sigma[si_f, g]), self.H
             )
-            for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
-                if c:
-                    rs.compute[h].struct_ops += int(c)
+            rs.charge("struct_ops", fires.counts())
         any_pending = bool(((M.ent_d != INF) & ~M.fired).any())
-        return blocks, int(g.size), any_pending
+        return fires, int(g.size), any_pending
 
     def _relax_forward(self, deliveries, rs: RoundStats) -> None:
         """Relax local out-edges of this round's fired vertices — one
-        arena-wide sweep over every host's delivery block.
+        arena-wide sweep over every host's deliveries.
 
         The dict plane processes delivery items one by one per host;
         every intra-round read-after-write runs through either the
         finalized row (unique writes — reconstructed exactly from the
         post-state plus the per-cell fire position ``fpos``) or a
         candidate cell.  Hosts never share cells (arena rows are
-        per-host), so concatenating the blocks in host order preserves
-        each host's item order and changes nothing else.  Cells with one
+        per-host), so sweeping the host-sorted batch preserves each
+        host's item order and changes nothing else.  Cells with one
         event this round take the vectorized path; multi-event cells
         replay events in item order.
         """
-        present = [
-            (h, blk) for h, blk in enumerate(deliveries)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        m = len(deliveries)
+        if not m:
             return
         A = self.arena
         delayed = self.delayed_sync
         k = self.k
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        hs = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        si = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        d = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
-        sg = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.float64, copy=False)
-        m = int(gids.size)
-        lid = A.lut[hs, gids]
+        hs = deliveries.host
+        si, d, sg = deliveries.cols
+        lid = A.lut[hs, deliveries.gids]
         A.fin_dist[lid, si] = d
         A.fin_sigma[lid, si] = sg
         A.fpos[lid, si] = np.arange(m, dtype=np.int64)
-        for (h, blk), cnt in zip(present, lens.tolist()):
-            oc = rs.compute[h]
-            oc.vertex_ops += cnt
-            if delayed:
-                oc.struct_ops += cnt  # local-list reconciliation probes
+        per_host = deliveries.counts()
+        rs.charge("vertex_ops", per_host)
+        if delayed:
+            rs.charge("struct_ops", per_host)  # local-list reconciliation probes
         deg = A.out_offsets[lid + 1] - A.out_offsets[lid]
-        # Delivery blocks are host-contiguous, so per-host edge totals are
-        # segment sums at the block starts (int all the way, no bincount
-        # float round-trip).
-        block_starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=block_starts[1:])
-        for (h, _blk), e in zip(
-            present, np.add.reduceat(deg, block_starts).tolist()
-        ):
-            if e:
-                rs.compute[h].edge_ops += int(e)
+        rs.charge("edge_ops", np.bincount(hs, deg, self.H))
         item_of, w = expand_csr(A.out_offsets, A.out_targets, lid)
         if w.size:
             sie = si[item_of]
@@ -882,10 +855,7 @@ class _ArrayBatchExecutor:
                     hs, n_better, n_equal,
                 )
         sfac = 2 if delayed else 1
-        for h in range(self.H):
-            ops = sfac * int(n_better[h]) + int(n_equal[h])
-            if ops:
-                rs.compute[h].struct_ops += ops
+        rs.charge("struct_ops", sfac * n_better + n_equal)
         A.fpos[lid, si] = -1
 
     def _replay_multi(
@@ -977,19 +947,16 @@ class _ArrayBatchExecutor:
 
         One arena-wide sweep: the unsent bitset's sorted index vector is
         exactly the dict plane's (host asc, lid asc) iteration order, so
-        slicing the row-major result at the arena's host offsets yields
-        the per-host blocks in the dict plane's staging order.
+        the row-major result is a host-sorted batch in the dict plane's
+        staging order.
         """
-        blocks: list = [None] * self.H
         A = self.arena
         lids = A.unsent.indices()
         if lids.size == 0:
-            return blocks, False
-        for h, c in enumerate(
-            np.bincount(A.host_of[lids], minlength=self.H)
-        ):
-            if c:
-                rs.compute[h].struct_ops += int(c)  # flat-map probes
+            return self._no_fwd, False
+        rs.charge(
+            "struct_ops", np.bincount(A.host_of[lids], minlength=self.H)
+        )  # flat-map probes
         pos = np.arange(self.k, dtype=np.int64)[None, :]
         sub_d = A.cand_dist[lids]
         present = sub_d != INF
@@ -1005,58 +972,50 @@ class _ArrayBatchExecutor:
         due = p_sorted & (d_sorted + pos <= rnd)
         need = due & (sent_sorted != d_sorted)
         rows, cols = np.nonzero(need)
+        batch = self._no_fwd
         if rows.size:
             l_sel = lids[rows]  # non-decreasing: row-major over sorted lids
             si_sel = order[rows, cols]
             d_sel = d_sorted[rows, cols]
             A.sent_d[l_sel, si_sel] = d_sel
-            sg_sel = A.cand_sigma[l_sel, si_sel]
-            g_sel = A.gids[l_sel]
-            bounds = np.searchsorted(l_sel, A.off)
-            for h in range(self.H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    blocks[h] = ColumnBlock.raw(
-                        g_sel[a:b], (si_sel[a:b], d_sel[a:b], sg_sel[a:b])
-                    )
+            batch = ExchangeBatch(
+                A.host_of[l_sel],
+                A.gids[l_sel],
+                (si_sel, d_sel, A.cand_sigma[l_sel, si_sel]),
+                self.H,
+            )
         remain = p_sorted & ~due & (sent_sorted != d_sorted)
         A.unsent.clear_many(lids[~remain.any(axis=1)])
         any_work = rows.size > 0 or A.unsent.any()
-        return blocks, any_work
+        return batch, any_work
 
     def _stage_eager(self):
         """Ablation path: reduce every updated candidate every round."""
-        blocks: list = [None] * self.H
         A = self.arena
         rows, cols = np.nonzero(A.dirty)
         if rows.size == 0:
-            return blocks, False
+            return self._no_fwd, False
         cols = cols.astype(np.int64, copy=False)
-        d_sel = A.cand_dist[rows, cols]
-        sg_sel = A.cand_sigma[rows, cols]
-        g_sel = A.gids[rows]
-        bounds = np.searchsorted(rows, A.off)
-        for h in range(self.H):
-            a, b = int(bounds[h]), int(bounds[h + 1])
-            if b > a:
-                blocks[h] = ColumnBlock.raw(
-                    g_sel[a:b], (cols[a:b], d_sel[a:b], sg_sel[a:b])
-                )
+        batch = ExchangeBatch(
+            A.host_of[rows],
+            A.gids[rows],
+            (cols, A.cand_dist[rows, cols], A.cand_sigma[rows, cols]),
+            self.H,
+        )
         A.dirty[:] = False
-        return blocks, True
+        return batch, True
 
     def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
         if runtime is None:
             runtime = SuperstepRuntime(run=self.run)
         gluon = self.gluon
         rledger = obs.current().rounds
-        pending: list = [None] * self.H
+        pending = self._no_fwd
 
         def step(rnd: int, rs: RoundStats) -> bool:
             nonlocal pending
 
             inbox = gluon.reduce_to_masters(pending, FWD_PAYLOAD_BYTES, self.k, rs)
-            pending = [None] * self.H
             self._apply_forward_inbox(inbox, rs)
             fires, fired_total, any_pending = self._emit_fires(rnd, rs)
 
@@ -1102,72 +1061,56 @@ class _ArrayBatchExecutor:
         src_self[np.arange(self.k), self.batch] = True
         sched = M.fired & ~src_self
         self.delta = np.zeros((self.k, self.n), dtype=np.float64)
-        pending: list = [None] * self.H
+        no_pending = ExchangeBatch.empty(self.H, (np.int64, np.float64))
+        no_fires = ExchangeBatch.empty(self.H, (np.int64, np.float64, np.int64))
+        pending = no_pending
         rledger = obs.current().rounds
 
         def step(rnd: int, rs: RoundStats) -> bool:
             nonlocal pending
 
             inbox = gluon.reduce_to_masters(pending, BWD_PAYLOAD_BYTES, self.k, rs)
-            pending = [None] * self.H
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                si = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.int64, copy=False)
-                pd = np.concatenate(
-                    [blk.cols[2] for _h, blk in got]
-                ).astype(np.float64, copy=False)
+            if len(inbox):
+                rs.charge("struct_ops", inbox.counts())
+                _snd, si, pd = inbox.cols
                 # Sequential accumulation in inbox order (host asc, item
                 # order within) — bit-identical to the dict plane's
                 # per-item `+=`.
-                np.add.at(self.delta, (si, gi), pd)
+                np.add.at(self.delta, (si, inbox.gids), pd)
 
             fr = sched & (M.tau == R - rnd + 1)
             si_f, g_f = np.nonzero(fr)
-            blocks = [None] * self.H
+            fires = no_fires
             if g_f.size:
                 ordp = M.order_by_seq(g_f)
                 g_f, si_f = g_f[ordp], si_f[ordp]
                 sg = M.best_sigma[si_f, g_f]
                 coeff = (1.0 + self.delta[si_f, g_f]) / sg
-                hosts_f = self.pg.master_of[g_f]
-                blocks = GluonArrayPlane._split_by_dest(
-                    g_f, hosts_f, [si_f, coeff, M.ent_d[si_f, g_f]], self.H
+                fires = ExchangeBatch.grouped(
+                    self.pg.master_of[g_f],
+                    g_f,
+                    (si_f, coeff, M.ent_d[si_f, g_f]),
+                    self.H,
                 )
-                for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
-                    if c:
-                        rs.compute[h].struct_ops += int(c)
+                rs.charge("struct_ops", fires.counts())
 
             if rledger is not None:
                 rledger.note(frontier=int(g_f.size), settled=int(g_f.size))
 
             deliveries = gluon.broadcast_from_masters(
-                blocks, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, self.k, rs
+                fires, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, self.k, rs
             )
             self._credit_backward(deliveries, rs)
 
-            pending = [None] * self.H
             A = self.arena
             rows, cols = np.nonzero(A.delta_dirty)
             if rows.size == 0:
+                pending = no_pending
                 return False
             cols = cols.astype(np.int64, copy=False)
-            pd_sel = A.partial_delta[rows, cols]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(self.H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(
-                        g_sel[a:b], (cols[a:b], pd_sel[a:b])
-                    )
+            pending = ExchangeBatch(
+                A.host_of[rows], A.gids[rows], (cols, A.partial_delta[rows, cols]), self.H
+            )
             A.partial_delta[rows, cols] = 0.0
             A.delta_dirty[:] = False
             return True
@@ -1175,34 +1118,15 @@ class _ArrayBatchExecutor:
         return runtime.run_loop("backward", step, min_rounds=R)
 
     def _credit_backward(self, deliveries, rs: RoundStats) -> None:
-        present = [
-            (h, blk) for h, blk in enumerate(deliveries)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        if not len(deliveries):
             return
         A = self.arena
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        hs = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        si = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        coeff = np.concatenate(
-            [blk.cols[1] for _h, blk in present]
-        ).astype(np.float64, copy=False)
-        d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
-        lid = A.lut[hs, gids]
-        for (h, blk), cnt in zip(present, lens.tolist()):
-            rs.compute[h].vertex_ops += cnt
+        hs = deliveries.host
+        si, coeff, d = deliveries.cols
+        lid = A.lut[hs, deliveries.gids]
+        rs.charge("vertex_ops", deliveries.counts())
         deg = A.in_offsets[lid + 1] - A.in_offsets[lid]
-        block_starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=block_starts[1:])
-        for (h, _blk), e in zip(
-            present, np.add.reduceat(deg, block_starts).tolist()
-        ):
-            if e:
-                rs.compute[h].edge_ops += int(e)
+        rs.charge("edge_ops", np.bincount(hs, deg, self.H))
         item_of, wp = expand_csr(A.in_offsets, A.in_sources, lid)
         if wp.size == 0:
             return
@@ -1220,11 +1144,7 @@ class _ArrayBatchExecutor:
         # per cell (cells never span hosts).
         np.add.at(A.partial_delta, (wt, ws), vals)
         A.delta_dirty[wt, ws] = True
-        for h, c in enumerate(
-            np.bincount(hs[item_of[sel]], minlength=self.H)
-        ):
-            if c:
-                rs.compute[h].struct_ops += int(c)
+        rs.charge("struct_ops", np.bincount(hs[item_of[sel]], minlength=self.H))
 
     # -- uniform executor interface ----------------------------------------
 

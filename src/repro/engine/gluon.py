@@ -27,7 +27,10 @@ Byte accounting is exact and deterministic; simulated wire time comes from
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.engine.partition import PartitionedGraph
@@ -48,6 +51,38 @@ MESSAGE_HEADER_BYTES = 384
 VERTEX_ID_BYTES = 4
 #: Bytes to name one source slot in an explicit per-vertex source list.
 SOURCE_ID_BYTES = 4
+
+
+def pair_message_bytes(shared, n_vertices, n_items, source_meta, payload_bytes):
+    """The aggregated pair message size — for scalars or aligned arrays.
+
+    ``shared`` is the pair's shared-proxy count, ``n_vertices`` the
+    distinct vertices in the message, ``n_items`` its per-source items
+    and ``source_meta`` the summed :func:`source_meta_bytes` of its
+    vertices.  Vertex metadata is the smaller of an index list and a
+    bitmap over the shared proxies (no bitmap when nothing is shared).
+    """
+    index_list = VERTEX_ID_BYTES * n_vertices
+    bitmap = np.where(shared > 0, (shared + 7) // 8, index_list)
+    return (
+        MESSAGE_HEADER_BYTES
+        + np.minimum(index_list, bitmap)
+        + source_meta
+        + payload_bytes * n_items
+    )
+
+
+def source_meta_bytes(items_per_vertex, batch_width: int):
+    """Per-vertex source-slot metadata: min(index list, k-bit bitvector).
+
+    A single-source sync (``batch_width == 1``) names no source slots.
+    """
+    if batch_width <= 1:
+        return np.zeros_like(items_per_vertex)
+    return np.minimum(
+        SOURCE_ID_BYTES * items_per_vertex, (batch_width + 7) // 8
+    )
+
 
 #: Broadcast target selectors.
 TARGET_OUT_EDGES = "out_edges"
@@ -97,125 +132,87 @@ class GluonSubstrate:
         ``items_by_vertex`` maps each distinct vertex in the message to its
         number of per-source items.
         """
-        n_vertices = len(items_by_vertex)
-        n_items = sum(items_by_vertex.values())
-        shared = int(self.pg.shared_proxies[sender, receiver])
-        vertex_meta = min(
-            VERTEX_ID_BYTES * n_vertices,
-            (shared + 7) // 8 if shared else VERTEX_ID_BYTES * n_vertices,
+        counts = np.fromiter(
+            items_by_vertex.values(), dtype=np.int64, count=len(items_by_vertex)
         )
-        if batch_width > 1:
-            per_vertex_bitvec = (batch_width + 7) // 8
-            source_meta = sum(
-                min(SOURCE_ID_BYTES * c, per_vertex_bitvec)
-                for c in items_by_vertex.values()
+        return int(
+            pair_message_bytes(
+                self.pg.shared_proxies[sender, receiver],
+                counts.size,
+                counts.sum(),
+                source_meta_bytes(counts, batch_width).sum(),
+                payload_bytes,
             )
-        else:
-            source_meta = 0
-        return (
-            MESSAGE_HEADER_BYTES
-            + vertex_meta
-            + source_meta
-            + payload_bytes * n_items
-        )
-
-    def _pair_bytes_from_stats(
-        self,
-        sender: int,
-        receiver: int,
-        n_vertices: int,
-        n_items: int,
-        source_meta: int,
-        payload_bytes: int,
-    ) -> int:
-        """The :meth:`_message_bytes` formula from pre-aggregated counts.
-
-        The array plane computes ``n_vertices`` (distinct vertices in the
-        pair message), ``n_items`` and ``source_meta`` (the summed
-        min(index list, k-bit bitvector) term) with array reductions
-        instead of a per-item dict scan; the byte model is shared so both
-        planes charge identical sizes.
-        """
-        shared = int(self.pg.shared_proxies[sender, receiver])
-        vertex_meta = min(
-            VERTEX_ID_BYTES * n_vertices,
-            (shared + 7) // 8 if shared else VERTEX_ID_BYTES * n_vertices,
-        )
-        return (
-            MESSAGE_HEADER_BYTES
-            + vertex_meta
-            + source_meta
-            + payload_bytes * n_items
         )
 
     def account_column_pairs(
         self,
-        pair_stats: Sequence[tuple[int, int, int, int, int]],
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         payload_bytes: int,
-        batch_width: int,
         rs: RoundStats,
         op: str = "sync",
     ) -> None:
-        """Columnar twin of :meth:`_account`.
+        """Columnar twin of :meth:`_account`, one call per exchange.
 
-        ``pair_stats`` rows are ``(sender, receiver, n_items, n_vertices,
-        source_meta_bytes)`` — one row per host pair with traffic this
-        round.  Every byte, counter, ledger entry and telemetry sample is
-        produced exactly as the tuple path would; only the aggregation
-        that *computes* the per-pair counts moved into array code.
-        Requires the closed-form size model (``exact_sizes`` encodes each
-        item and has no columnar equivalent).
+        ``pairs`` holds aligned int64 arrays ``(sender, receiver, n_items,
+        n_vertices, source_meta_bytes)`` — one entry per host pair with
+        traffic this round, the last three pre-aggregated by the caller.
+        Every byte, counter, ledger entry and telemetry sample is
+        produced exactly as the tuple path would, with array reductions
+        in place of the per-pair loop.  Requires the closed-form size
+        model (``exact_sizes`` encodes each item and has no columnar
+        equivalent).
         """
         if self.exact_sizes:
             raise ValueError(
                 "columnar accounting requires the closed-form size model; "
                 "exact_sizes stays on the dict plane"
             )
-        del batch_width  # folded into source_meta_bytes by the caller
+        sender, receiver, n_items, n_vertices, source_meta = pairs
+        # 1 per pair message; local delivery is free.  int64, not bool:
+        # the scatter-adds below take a slower casting path for bools.
+        live = (sender != receiver).astype(np.int64)
+        nbytes = live * pair_message_bytes(
+            self.pg.shared_proxies[sender, receiver],
+            n_vertices,
+            n_items,
+            source_meta,
+            payload_bytes,
+        )
+        np.add.at(rs.bytes_out, sender, nbytes)
+        np.add.at(rs.bytes_in, receiver, nbytes)
+        np.add.at(rs.msgs_out, sender, live)
+        np.add.at(rs.msgs_in, receiver, live)
+        values = n_items.tolist()
+        items = sum(values)
+        proxies = sum(n_vertices.tolist())
+        rs.items_synced += items
+        rs.proxies_synced += proxies
+        wire = live.tolist()
+        messages = sum(wire)
+        rs.pair_messages += messages
         tele = obs.current()
-        ledger = tele.comm
-        if tele.enabled:
-            before = (
-                int(rs.bytes_out.sum()),
-                rs.pair_messages,
-                rs.items_synced,
-                rs.proxies_synced,
-            )
-        for sender, receiver, n_items, n_vertices, source_meta in pair_stats:
-            rs.items_synced += n_items
-            rs.proxies_synced += n_vertices
-            if sender == receiver:
-                continue  # local delivery is free
-            nbytes = self._pair_bytes_from_stats(
-                sender, receiver, n_vertices, n_items, source_meta, payload_bytes
-            )
-            rs.pair_messages += 1
-            rs.bytes_out[sender] += nbytes
-            rs.bytes_in[receiver] += nbytes
-            rs.msgs_out[sender] += 1
-            rs.msgs_in[receiver] += 1
-            if ledger is not None:
-                ledger.record_pair_message(
-                    rs, sender, receiver, n_items, nbytes, op
+        if messages and (tele.comm is not None or tele.enabled):
+            sizes = list(compress(nbytes.tolist(), wire))
+            if tele.comm is not None:
+                tele.comm.record_pairs(
+                    rs,
+                    list(compress(sender.tolist(), wire)),
+                    list(compress(receiver.tolist(), wire)),
+                    list(compress(values, wire)),
+                    sizes,
+                    op,
                 )
             if tele.enabled:
-                tele.metrics.histogram("gluon.message_bytes", op=op).observe(
-                    nbytes
-                )
+                hist = tele.metrics.histogram("gluon.message_bytes", op=op)
+                for nb in sizes:
+                    hist.observe(nb)
         if tele.enabled:
             m = tele.metrics
-            m.counter("gluon.bytes", op=op).inc(
-                int(rs.bytes_out.sum()) - before[0]
-            )
-            m.counter("gluon.pair_messages", op=op).inc(
-                rs.pair_messages - before[1]
-            )
-            m.counter("gluon.items_synced", op=op).inc(
-                rs.items_synced - before[2]
-            )
-            m.counter("gluon.proxies_synced", op=op).inc(
-                rs.proxies_synced - before[3]
-            )
+            m.counter("gluon.bytes", op=op).inc(int(nbytes.sum()))
+            m.counter("gluon.pair_messages", op=op).inc(messages)
+            m.counter("gluon.items_synced", op=op).inc(items)
+            m.counter("gluon.proxies_synced", op=op).inc(proxies)
 
     def _encoded_bytes(
         self,

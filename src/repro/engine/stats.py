@@ -57,6 +57,13 @@ class RoundStats:
         """
         return "recovery" if self.recovery else self.phase
 
+    def charge(self, kind: str, per_host: np.ndarray) -> None:
+        """Add per-host work units of one kind (``"vertex_ops"``,
+        ``"edge_ops"`` or ``"struct_ops"``) from an array indexed by host."""
+        for oc, c in zip(self.compute, per_host.tolist()):
+            if c:
+                setattr(oc, kind, getattr(oc, kind) + int(c))
+
     def max_compute_ops(self) -> int:
         """Work units of the busiest host (the BSP straggler)."""
         return max(c.total() for c in self.compute)

@@ -246,6 +246,58 @@ class CommLedger:
             op=op,
         )
 
+    def record_pairs(
+        self,
+        rs: Any,
+        src: list[int],
+        dst: list[int],
+        values: list[int],
+        payload_bytes: list[int],
+        op: str,
+    ) -> None:
+        """Every pair message of one Gluon exchange in one call.
+
+        Equivalent to :meth:`record_pair_message` once per ``(src[i],
+        dst[i], values[i], payload_bytes[i])`` in order; an exchange with
+        no pairs records nothing (not even an empty round).
+        """
+        if not src:
+            return
+        # The round and op cells are looked up as in record(), which
+        # inlines the same lookup on its per-message path.
+        key = (
+            PLANE_GLUON,
+            self._epoch.get(PLANE_GLUON, 0),
+            rs.effective_phase,
+            rs.round_index,
+        )
+        rc = self._rounds.get(key)
+        if rc is None:
+            rc = self._rounds[key] = RoundComm(
+                plane=PLANE_GLUON, epoch=key[1], phase=key[2], round_index=key[3]
+            )
+        ot = self._op_totals.get((PLANE_GLUON, op))
+        if ot is None:
+            ot = self._op_totals[(PLANE_GLUON, op)] = CommTotals()
+        pairs = rc.pairs
+        words = [-(-b // WORD_BYTES) for b in payload_bytes]
+        for pk, v, w, b in zip(zip(src, dst), values, words, payload_bytes):
+            pair = pairs.get(pk)
+            if pair is None:
+                pair = pairs[pk] = CommTotals()
+            pair.messages += 1
+            pair.values += v
+            pair.words += w
+            pair.payload_bytes += b
+        sums = dict(
+            messages=len(src),
+            values=sum(values),
+            words=sum(words),
+            payload_bytes=sum(payload_bytes),
+        )
+        rc.totals.add(**sums)
+        ot.add(**sums)
+
     # -- queries ---------------------------------------------------------------
 
     def rounds(self, plane: str | None = None) -> list[RoundComm]:

@@ -4,9 +4,10 @@ The dict plane keeps per-vertex Python dicts (``MasterVertexState``,
 ``local_lists``) and exchanges per-vertex tuples; this module provides the
 columnar twin: dense ``(k, n)`` / ``(L, k)`` NumPy arrays for
 distance/σ/δ, :class:`~repro.utils.bitset.Bitset`-backed masks for the
-delayed-sync staging sets, and :class:`ColumnBlock` — the unit of
-exchange on the :class:`~repro.runtime.plane.GluonArrayPlane`, a struct
-of arrays instead of a list of tuples.
+delayed-sync staging sets, and :class:`ExchangeBatch` — the unit of
+exchange on the :class:`~repro.runtime.plane.GluonArrayPlane`: every
+host's rows in one host-sorted struct of arrays instead of one tuple
+list per host.
 
 Explicit converters bridge the two representations:
 
@@ -14,7 +15,7 @@ Explicit converters bridge the two representations:
   translate between the columnar master state and the dict plane's
   ``{gid: MasterVertexState}`` map (used by checkpoints — snapshots are
   cross-plane compatible — and by the resilience invariant checker);
-- :func:`ColumnBlock.to_tuples` / :func:`ColumnBlock.from_tuples`
+- :meth:`ExchangeBatch.to_tuples` / :meth:`ExchangeBatch.from_tuples`
   translate exchange payloads, which is how the array plane routes
   through the guarded dict substrate under a fault plan.
 
@@ -26,7 +27,7 @@ the columnar state carries an explicit sequence number
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -65,81 +66,108 @@ def expand_csr(
     return item_of, data[starts.repeat(counts) + pos]
 
 
-class ColumnBlock:
-    """One host's exchange payload as a struct of aligned arrays.
+class ExchangeBatch:
+    """One exchange's rows from every host, as one flat struct of arrays.
 
-    ``gids`` names the global vertex per row; ``cols`` carries the
-    payload columns (e.g. source slot, distance, σ).  The dict plane's
-    equivalent is a list of ``(gid, *payload)`` tuples — the converters
+    ``host`` is non-decreasing — rows are grouped by host (the sender
+    for a staged batch, the destination for an inbox) — ``gids`` names
+    each row's global vertex and ``cols`` carries the payload columns
+    (e.g. source slot, distance, σ).  Within one host, rows keep the
+    order they were staged or delivered in.  The dict plane's equivalent
+    is one list of ``(gid, *payload)`` tuples per host; the converters
     below translate losslessly in both directions.
+
+    Iterating yields one sized row range per host, so code that walks an
+    exchange host by host (item counters, tests) sees the per-host shape.
     """
 
-    __slots__ = ("gids", "cols")
+    __slots__ = ("host", "gids", "cols", "num_hosts")
 
-    def __init__(self, gids: np.ndarray, cols: tuple[np.ndarray, ...]) -> None:
-        self.gids = np.asarray(gids, dtype=np.int64)
-        self.cols = tuple(np.asarray(c) for c in cols)
-
-    @classmethod
-    def raw(cls, gids: np.ndarray, cols: tuple[np.ndarray, ...]) -> "ColumnBlock":
-        """No-validation constructor for hot paths (arrays already typed)."""
-        self = object.__new__(cls)
+    def __init__(
+        self,
+        host: np.ndarray,
+        gids: np.ndarray,
+        cols: tuple[np.ndarray, ...],
+        num_hosts: int,
+    ) -> None:
+        # No validation: built on every exchange from already-typed arrays.
+        self.host = host
         self.gids = gids
         self.cols = cols
-        return self
+        self.num_hosts = num_hosts
+
+    @classmethod
+    def grouped(
+        cls,
+        host: np.ndarray,
+        gids: np.ndarray,
+        cols: tuple[np.ndarray, ...],
+        num_hosts: int,
+    ) -> "ExchangeBatch":
+        """Batch from rows in any host order (stable: a host's rows keep
+        their relative order)."""
+        order = np.argsort(host, kind="stable")
+        return cls(
+            host[order], gids[order], tuple(c[order] for c in cols), num_hosts
+        )
+
+    @classmethod
+    def empty(cls, num_hosts: int, dtypes: tuple[Any, ...]) -> "ExchangeBatch":
+        """A batch with no rows (payload columns typed by ``dtypes``)."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(
+            none, none, tuple(np.empty(0, dtype=dt) for dt in dtypes), num_hosts
+        )
 
     def __len__(self) -> int:
         return int(self.gids.size)
 
-    def take(self, idx: np.ndarray) -> "ColumnBlock":
-        """Row subset/permutation by position."""
-        return ColumnBlock(self.gids[idx], tuple(c[idx] for c in self.cols))
+    @property
+    def dtypes(self) -> tuple[Any, ...]:
+        """Payload column dtypes (what :meth:`from_tuples` needs back)."""
+        return tuple(c.dtype for c in self.cols)
 
-    def to_tuples(self) -> list[tuple[Any, ...]]:
-        """The dict plane's representation: ``(gid, *payload)`` tuples."""
-        pys = [self.gids.tolist()] + [c.tolist() for c in self.cols]
-        return list(zip(*pys))
+    def counts(self) -> np.ndarray:
+        """Rows per host (int64, length ``num_hosts``)."""
+        return np.bincount(self.host, minlength=self.num_hosts)
+
+    def offsets(self) -> np.ndarray:
+        """Per-host row offsets: host ``h`` owns rows ``off[h]:off[h+1]``."""
+        return np.searchsorted(self.host, np.arange(self.num_hosts + 1))
+
+    def __iter__(self) -> Iterator[range]:
+        off = self.offsets().tolist()
+        return (range(a, b) for a, b in zip(off[:-1], off[1:]))
+
+    def to_tuples(self) -> list[list[tuple[Any, ...]]]:
+        """The dict plane's representation: per host, ``(gid, *payload)``."""
+        rows = list(zip(self.gids.tolist(), *(c.tolist() for c in self.cols)))
+        return [rows[r.start : r.stop] for r in self]
 
     @classmethod
     def from_tuples(
-        cls, items: Iterable[tuple[Any, ...]], dtypes: tuple[Any, ...]
-    ) -> "ColumnBlock":
-        """Rebuild a block from dict-plane tuples.
+        cls, per_host: list[list[tuple[Any, ...]]], dtypes: tuple[Any, ...]
+    ) -> "ExchangeBatch":
+        """Rebuild a batch from dict-plane per-host tuple lists.
 
         ``dtypes`` gives the payload column dtypes (``gids`` is always
-        int64); required because an empty list carries no type info.
+        int64); required because an empty exchange carries no type info.
         """
-        rows = list(items)
+        H = len(per_host)
+        rows = [it for items in per_host for it in items]
         if not rows:
-            return cls(
-                np.empty(0, dtype=np.int64),
-                tuple(np.empty(0, dtype=dt) for dt in dtypes),
-            )
+            return cls.empty(H, dtypes)
         columns = list(zip(*rows))
         return cls(
+            np.repeat(
+                np.arange(H, dtype=np.int64), [len(items) for items in per_host]
+            ),
             np.asarray(columns[0], dtype=np.int64),
             tuple(
-                np.asarray(col, dtype=dt)
-                for col, dt in zip(columns[1:], dtypes)
+                np.asarray(col, dtype=dt) for col, dt in zip(columns[1:], dtypes)
             ),
+            H,
         )
-
-    @classmethod
-    def concat(cls, blocks: "list[ColumnBlock]") -> "ColumnBlock":
-        """Row-wise concatenation (blocks must agree on column count)."""
-        assert blocks, "need at least one block"
-        return cls(
-            np.concatenate([b.gids for b in blocks]),
-            tuple(
-                np.concatenate([b.cols[i] for b in blocks])
-                for i in range(len(blocks[0].cols))
-            ),
-        )
-
-
-def block_len(block: "ColumnBlock | None") -> int:
-    """Length of a possibly-absent block (planes use None for empty)."""
-    return 0 if block is None else len(block)
 
 
 class HostArena:

@@ -24,12 +24,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.runtime.arrays import ColumnBlock, expand_csr
+from repro.runtime.arrays import ExchangeBatch, expand_csr
 from repro.runtime.errors import (
     ChannelBandwidthError,
     ChannelCapacityError,
     NotAChannelError,
     PartitionMismatchError,
+    UnknownBroadcastTargetError,
 )
 
 
@@ -103,15 +104,17 @@ class GluonPlane(MessagePlane):
 
 
 class GluonArrayPlane(MessagePlane):
-    """Columnar host-level reduce/broadcast: whole columns per boundary.
+    """Columnar host-level reduce/broadcast: one flat batch per exchange.
 
-    The vectorized twin of :class:`GluonPlane`.  Exchange payloads are
-    :class:`~repro.runtime.arrays.ColumnBlock` structs (one per host)
-    instead of per-vertex tuple lists; routing, inbox assembly and the
-    per-pair statistics that feed Gluon's byte model are all computed
-    with array reductions.  Byte counts, ledger entries and telemetry
-    are produced by the same :class:`~repro.engine.gluon.GluonSubstrate`
-    model, so both planes report identical communication numbers.
+    The vectorized twin of :class:`GluonPlane`.  An exchange is one
+    :class:`~repro.runtime.arrays.ExchangeBatch` — every host's rows in
+    one host-sorted struct of arrays — instead of per-host tuple lists;
+    routing, inbox assembly and the per-pair statistics that feed
+    Gluon's byte model are array reductions over the whole batch, and
+    the substrate accounts every pair of the exchange in one call.  Byte
+    counts, ledger entries and telemetry come from the same
+    :class:`~repro.engine.gluon.GluonSubstrate` model, so both planes
+    report identical communication numbers.
 
     Two deliberate scope limits keep the dict plane authoritative where
     fidelity beats speed:
@@ -119,15 +122,15 @@ class GluonArrayPlane(MessagePlane):
     - ``exact_sizes`` is refused (it encodes each item individually);
     - under a :class:`~repro.resilience.context.ResilienceContext`, every
       exchange round-trips through the guarded tuple substrate
-      (:meth:`ColumnBlock.to_tuples` / ``from_tuples``), so fault
+      (:meth:`ExchangeBatch.to_tuples` / ``from_tuples``), so fault
       injection, channel verification and repair behave identically by
       construction — at dict-plane speed.
 
-    The inbox ordering contract matches the dict plane exactly: each
-    destination host receives sender blocks in ascending sender order,
-    items within a sender in staging order (reduce inboxes carry the
-    sender as the first payload column, mirroring the tuple plane's
-    ``(gid, sender, *payload)``).
+    The inbox ordering contract matches the dict plane exactly: inbox
+    rows are sorted by destination host, senders ascending within a
+    destination, items within a sender in staging order (reduce inboxes
+    carry the sender as the first payload column, mirroring the tuple
+    plane's ``(gid, sender, *payload)``).
     """
 
     def __init__(self, pg, *, resilience=None, substrate=None) -> None:
@@ -144,154 +147,72 @@ class GluonArrayPlane(MessagePlane):
         self.num_hosts = pg.num_hosts
         self._n = int(pg.master_of.size)
 
-    # -- pair statistics ---------------------------------------------------
-
     def _pair_stats(self, snd, dest, gids, batch_width):
-        """Per host pair: (sender, receiver, n_items, n_vertices,
-        source_meta_bytes), via array group-bys over the routed items."""
-        from repro.engine.gluon import SOURCE_ID_BYTES
+        """Per host pair with traffic, ordered by pair key: aligned
+        ``(sender, receiver, n_items, n_vertices, source_meta_bytes)``.
+
+        One sort by (pair, vertex) finds each pair message's distinct
+        vertices; per-pair sums are then bincounts over the pair key.
+        """
+        from repro.engine.gluon import source_meta_bytes
 
         H = self.num_hosts
         n = self._n
-        if gids.size <= 32:
-            # Tiny exchanges (frontier tails on sparse graphs) group
-            # faster through plain dicts than through a dozen
-            # fixed-overhead array ops — the crossover sits near 40
-            # items; the result is identical, ordered by pair key.
-            # The source-meta term is maintained incrementally: raising a
-            # vertex's item count from c-1 to c adds the delta of the
-            # min(index list, bitvector) encoding.
-            bitvec = (batch_width + 7) // 8 if batch_width > 1 else 0
-            vcount: dict[int, int] = {}
-            agg: dict[int, list[int]] = {}
-            for s_, d_, g_ in zip(snd.tolist(), dest.tolist(), gids.tolist()):
-                pk_ = s_ * H + d_
-                key = pk_ * n + g_
-                c = vcount.get(key, 0) + 1
-                vcount[key] = c
-                st = agg.get(pk_)
-                if st is None:
-                    agg[pk_] = st = [0, 0, 0]
-                st[0] += 1
-                if c == 1:
-                    st[1] += 1
-                if bitvec:
-                    st[2] += min(SOURCE_ID_BYTES * c, bitvec) - min(
-                        SOURCE_ID_BYTES * (c - 1), bitvec
-                    )
-            return [
-                (pk_ // H, pk_ % H, st[0], st[1], st[2])
-                for pk_, st in sorted(agg.items())
-            ]
-        pkey = snd * H + dest
-        # Group once by (pair, vertex) to get per-vertex item counts,
-        # then by pair for the message-level aggregates — one sort plus
-        # boundary scans (both group keys are prefixes of the sort key).
-        ks = np.sort(pkey * n + gids)
-        flag = np.empty(ks.size, dtype=bool)
-        flag[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=flag[1:])
-        starts = np.nonzero(flag)[0]
-        vcounts = np.empty(starts.size, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=vcounts[:-1])
-        vcounts[-1] = ks.size - starts[-1]
-        pk = ks[starts] // n
-        chg = np.ones(pk.size, dtype=bool)
-        chg[1:] = pk[1:] != pk[:-1]
-        upairs = pk[chg]
-        pinv = np.cumsum(chg) - 1
-        n_vertices = np.bincount(pinv, minlength=upairs.size)
-        n_items = np.bincount(
-            pinv, weights=vcounts, minlength=upairs.size
-        ).astype(np.int64, copy=False)
+        if gids.size == 0:
+            return (gids,) * 5
+        pk = snd * H + dest
+        ks = np.sort(pk * n + gids)
+        first = np.empty(ks.size, dtype=bool)  # first item of a (pair, vertex)
+        first[0] = True
+        np.not_equal(ks[1:], ks[:-1], out=first[1:])
+        vpair = ks[first] // n
+        n_items = np.bincount(pk, minlength=H * H)
+        pairs = n_items.nonzero()[0]
+        n_vertices = np.bincount(vpair, minlength=H * H)[pairs]
         if batch_width > 1:
-            per_vertex_bitvec = (batch_width + 7) // 8
-            sm = np.minimum(SOURCE_ID_BYTES * vcounts, per_vertex_bitvec)
+            vstart = first.nonzero()[0]
+            per_vertex = np.empty_like(vstart)  # items per (pair, vertex)
+            per_vertex[:-1] = vstart[1:] - vstart[:-1]
+            per_vertex[-1] = ks.size - vstart[-1]
             source_meta = np.bincount(
-                pinv, weights=sm, minlength=upairs.size
-            ).astype(np.int64, copy=False)
+                vpair, source_meta_bytes(per_vertex, batch_width), H * H
+            )[pairs].astype(np.int64)
         else:
-            source_meta = np.zeros(upairs.size, dtype=np.int64)
-        return list(
-            zip(
-                (upairs // H).tolist(),
-                (upairs % H).tolist(),
-                n_items.tolist(),
-                n_vertices.tolist(),
-                source_meta.tolist(),
-            )
-        )
-
-    @staticmethod
-    def _payload_dtypes(per_host_blocks):
-        for blk in per_host_blocks:
-            if blk is not None and len(blk):
-                return tuple(c.dtype for c in blk.cols)
-        return None
-
-    @staticmethod
-    def _split_by_dest(gids, dest, cols, num_hosts):
-        """Stable-partition rows by destination host into per-host blocks."""
-        order = np.argsort(dest, kind="stable")
-        dest_s = dest[order]
-        gids_s = gids[order]
-        cols_s = [c[order] for c in cols]
-        bounds = np.searchsorted(dest_s, np.arange(num_hosts + 1))
-        inbox = [None] * num_hosts
-        for d in range(num_hosts):
-            a, b = bounds[d], bounds[d + 1]
-            if b > a:
-                # Per-host blocks are O(1) slice views of the permuted arrays.
-                inbox[d] = ColumnBlock.raw(
-                    gids_s[a:b], tuple(c[a:b] for c in cols_s)
-                )
-        return inbox
+            source_meta = np.zeros(pairs.size, dtype=np.int64)
+        return pairs // H, pairs % H, n_items[pairs], n_vertices, source_meta
 
     # -- primitives --------------------------------------------------------
 
-    def reduce_to_masters(self, per_host_blocks, payload_bytes, batch_width, rs):
-        """Send each host's updated columns to the owning masters.
+    def reduce_to_masters(self, batch, payload_bytes, batch_width, rs):
+        """Send each host's updated rows to the owning masters.
 
-        ``per_host_blocks[h]`` is a :class:`ColumnBlock` (or None).
-        Returns per-host master inboxes whose first payload column is the
-        sender host.
+        ``batch`` is an :class:`ExchangeBatch` grouped by sending host.
+        Returns the master inbox grouped by master host, whose first
+        payload column is the sender.
         """
         if self.substrate.resilience is not None:
-            return self._reduce_via_substrate(
-                per_host_blocks, payload_bytes, batch_width, rs
+            inbox = self.substrate.reduce_to_masters(
+                batch.to_tuples(), payload_bytes, batch_width, rs
             )
-        present = [
-            (h, blk)
-            for h, blk in enumerate(per_host_blocks)
-            if blk is not None and len(blk)
-        ]
-        if not present:
-            self.substrate.account_column_pairs(
-                (), payload_bytes, batch_width, rs, op="reduce"
+            return ExchangeBatch.from_tuples(
+                inbox, (np.dtype(np.int64), *batch.dtypes)
             )
-            return [None] * self.num_hosts
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        snd = np.concatenate(
-            [np.full(len(blk), h, dtype=np.int64) for h, blk in present]
-        )
-        cols = [
-            np.concatenate([blk.cols[i] for _h, blk in present])
-            for i in range(len(present[0][1].cols))
-        ]
+        snd, gids = batch.host, batch.gids
         dest = self.pg.master_of[gids]
         self.substrate.account_column_pairs(
             self._pair_stats(snd, dest, gids, batch_width),
             payload_bytes,
-            batch_width,
             rs,
             op="reduce",
         )
-        return self._split_by_dest(gids, dest, [snd] + cols, self.num_hosts)
+        return ExchangeBatch.grouped(
+            dest, gids, (snd, *batch.cols), self.num_hosts
+        )
 
     def broadcast_from_masters(
-        self, per_host_blocks, targets, payload_bytes, batch_width, rs
+        self, batch, targets, payload_bytes, batch_width, rs
     ):
-        """Send master-side columns to the hosts holding relevant proxies."""
+        """Send master-side rows to the hosts holding relevant proxies."""
         try:
             offsets, hosts = self.pg.vertex_host_csr(targets)
         except ValueError:
@@ -299,81 +220,24 @@ class GluonArrayPlane(MessagePlane):
                 f"unknown broadcast target {targets!r}"
             ) from None
         if self.substrate.resilience is not None:
-            return self._broadcast_via_substrate(
-                per_host_blocks, targets, payload_bytes, batch_width, rs
+            inbox = self.substrate.broadcast_from_masters(
+                batch.to_tuples(), targets, payload_bytes, batch_width, rs
             )
-        present = [
-            (h, blk)
-            for h, blk in enumerate(per_host_blocks)
-            if blk is not None and len(blk)
-        ]
-        if not present:
-            self.substrate.account_column_pairs(
-                (), payload_bytes, batch_width, rs, op="broadcast"
-            )
-            return [None] * self.num_hosts
-        # One expansion over every sender's block, concatenated in sender
-        # order — identical item sequence to the per-host loop.
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        src_h = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        bg = np.concatenate([blk.gids for _h, blk in present])
-        ncols = len(present[0][1].cols)
-        bcols = [
-            np.concatenate([blk.cols[i] for _h, blk in present])
-            for i in range(ncols)
-        ]
-        item_of, dst = expand_csr(offsets, hosts, bg)
-        gids = bg[item_of]
-        snd = src_h[item_of]
+            return ExchangeBatch.from_tuples(inbox, batch.dtypes)
+        # One expansion over every sender's rows, in sender order —
+        # identical item sequence to the tuple plane's per-host loop.
+        item_of, dst = expand_csr(offsets, hosts, batch.gids)
+        gids = batch.gids[item_of]
         dest = dst.astype(np.int64, copy=False)
-        cols = [c[item_of] for c in bcols]
         self.substrate.account_column_pairs(
-            self._pair_stats(snd, dest, gids, batch_width),
+            self._pair_stats(batch.host[item_of], dest, gids, batch_width),
             payload_bytes,
-            batch_width,
             rs,
             op="broadcast",
         )
-        return self._split_by_dest(gids, dest, cols, self.num_hosts)
-
-    # -- resilience fallback (guarded tuple substrate) ---------------------
-
-    def _reduce_via_substrate(self, per_host_blocks, payload_bytes, batch_width, rs):
-        dtypes = self._payload_dtypes(per_host_blocks)
-        items = [
-            blk.to_tuples() if blk is not None else []
-            for blk in per_host_blocks
-        ]
-        inbox = self.substrate.reduce_to_masters(
-            items, payload_bytes, batch_width, rs
+        return ExchangeBatch.grouped(
+            dest, gids, tuple(c[item_of] for c in batch.cols), self.num_hosts
         )
-        if dtypes is None:
-            return [None] * self.num_hosts
-        full = (np.dtype(np.int64), *dtypes)
-        return [
-            ColumnBlock.from_tuples(lst, full) if lst else None
-            for lst in inbox
-        ]
-
-    def _broadcast_via_substrate(
-        self, per_host_blocks, targets, payload_bytes, batch_width, rs
-    ):
-        dtypes = self._payload_dtypes(per_host_blocks)
-        items = [
-            blk.to_tuples() if blk is not None else []
-            for blk in per_host_blocks
-        ]
-        inbox = self.substrate.broadcast_from_masters(
-            items, targets, payload_bytes, batch_width, rs
-        )
-        if dtypes is None:
-            return [None] * self.num_hosts
-        return [
-            ColumnBlock.from_tuples(lst, dtypes) if lst else None
-            for lst in inbox
-        ]
 
 
 class CongestPlane(MessagePlane):

@@ -9,6 +9,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.commcheck import (
@@ -112,6 +114,47 @@ class TestCommLedger:
                        values=1, words=7, payload_bytes=56)
         assert v is not None and (v.words, v.bound_words) == (7, 2)
         assert led.violations == [v]
+
+
+#: One exchange: its round (phase, index, recovery flag), op, and pairs
+#: ``(src, dst, values, payload_bytes)`` — byte sizes deliberately not
+#: multiples of the 8-byte word, and repeated pairs allowed.
+_exchange = st.tuples(
+    st.sampled_from(["forward", "backward"]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from(["reduce", "broadcast"]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(1, 40),
+            st.integers(1, 2000),
+        ),
+        max_size=12,
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_exchange, max_size=8))
+def test_record_pairs_equals_record_pair_message_loop(exchanges):
+    batched, looped = CommLedger(), CommLedger()
+    for phase, rnd, recovery, op, pairs in exchanges:
+        rs = SimpleNamespace(
+            effective_phase="recovery" if recovery else phase, round_index=rnd
+        )
+        for src, dst, values, nbytes in pairs:
+            looped.record_pair_message(rs, src, dst, values, nbytes, op)
+        cols = [list(c) for c in zip(*pairs)] or [[], [], [], []]
+        batched.record_pairs(rs, *cols, op)
+    assert batched.summary(top=64) == looped.summary(top=64)
+    assert batched.pair_totals(PLANE_GLUON) == looped.pair_totals(PLANE_GLUON)
+    assert batched.totals() == looped.totals()
+    assert batched.per_round() == looped.per_round()
+    assert [(rc.phase, rc.round_index, rc.pairs) for rc in batched.rounds()] == [
+        (rc.phase, rc.round_index, rc.pairs) for rc in looped.rounds()
+    ]
 
 
 class Oversized(VertexProgram):

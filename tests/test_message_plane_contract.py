@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro import obs
 from repro.congest.network import CongestNetwork
 from repro.congest.program import BROADCAST, VertexProgram
@@ -46,28 +48,17 @@ from repro.obs.comm import (
     CommLedger,
 )
 from repro.obs.rounds import RoundLedger
-from repro.runtime.arrays import ColumnBlock
+from repro.runtime.arrays import ExchangeBatch
 from repro.runtime.plane import GluonArrayPlane, GluonPlane
 from repro.runtime.superstep import SuperstepRuntime
 
 NUM_HOSTS = 4
 
 
-def _blocks(per_host_items: list[list], payload_cols: int) -> list:
-    """Tuple staging lists → per-host :class:`ColumnBlock`s (or None)."""
-    import numpy as np
-
-    out: list = [None] * len(per_host_items)
-    for h, items in enumerate(per_host_items):
-        if not items:
-            continue
-        gids = np.array([it[0] for it in items], dtype=np.int64)
-        cols = tuple(
-            np.array([it[1 + c] for it in items])
-            for c in range(payload_cols)
-        )
-        out[h] = ColumnBlock.raw(gids, cols)
-    return out
+#: Payload dtypes of the contract workload's staged rows: reduce
+#: ``(gid, 1, float)`` and broadcast ``(gid, 0, 1, float)``.
+REDUCE_DTYPES = (np.int64, np.float64)
+BROADCAST_DTYPES = (np.int64, np.int64, np.float64)
 
 
 @dataclass
@@ -175,7 +166,7 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
     """The columnar plane under the exact same contract and workload.
 
     Drives :class:`GluonArrayPlane` with the same logical items as
-    :class:`TestGluonPlaneContract` (staged as ColumnBlocks), so on top
+    :class:`TestGluonPlaneContract` (staged as one ExchangeBatch), so on top
     of the base contract we can assert its accounting is *identical* to
     the tuple plane's, byte for byte.
     """
@@ -194,17 +185,24 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
                 for v in range(step, g.num_vertices, 4):
                     for h in pg.hosts_with_proxy(v).tolist():
                         items[h].append((v, 1, float(v)))
-                plane.reduce_to_masters(_blocks(items, 2), 12, 1, rs)
+                staged = ExchangeBatch.from_tuples(items, REDUCE_DTYPES)
+                plane.reduce_to_masters(staged, 12, 1, rs)
             rs = run.new_round("backward")
             items = [[] for _ in range(NUM_HOSTS)]
             for v in range(0, g.num_vertices, 3):
                 items[int(pg.master_of[v])].append((v, 0, 1, float(v)))
             plane.broadcast_from_masters(
-                _blocks(items, 3), TARGET_ALL_PROXIES, 16, 1, rs
+                ExchangeBatch.from_tuples(items, BROADCAST_DTYPES),
+                TARGET_ALL_PROXIES,
+                16,
+                1,
+                rs,
             )
             # An empty round: nothing staged, nothing may be recorded.
             rs = run.new_round("forward")
-            plane.reduce_to_masters([None] * NUM_HOSTS, 12, 1, rs)
+            plane.reduce_to_masters(
+                ExchangeBatch.empty(NUM_HOSTS, REDUCE_DTYPES), 12, 1, rs
+            )
         return Reference(
             messages=run.total_pair_messages,
             payload_bytes=run.total_bytes,
@@ -404,7 +402,8 @@ class TestGluonArrayRoundLedgerContract(TestGluonRoundLedgerContract):
                 fired += 1
                 for h in pg.hosts_with_proxy(v).tolist():
                     items[h].append((v, 1, float(v)))
-            plane.reduce_to_masters(_blocks(items, 2), 12, 1, rs)
+            staged = ExchangeBatch.from_tuples(items, REDUCE_DTYPES)
+            plane.reduce_to_masters(staged, 12, 1, rs)
             rl = obs.current().rounds
             if rl is not None:
                 rl.note(frontier=fired, settled=fired)
