@@ -17,6 +17,8 @@ separately, and the network enforces a per-channel combining cap.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,14 +46,24 @@ class MessageStats:
     #: Per-tag value counts, e.g. how many "apsp" vs "bfs" values flowed.
     by_tag: dict[str, int] = field(default_factory=dict)
 
+    def record_channels(
+        self, messages: int, values: int, words: int, tags: Mapping[str, int]
+    ) -> None:
+        """Record a round's channel-sends at once: ``messages`` channels
+        carrying ``values`` values of ``words`` words in all, with
+        ``tags`` counting values per tag (first-occurrence order)."""
+        self.messages += messages
+        self.values += values
+        self.words += words
+        by_tag = self.by_tag
+        for tag, n in tags.items():
+            by_tag[tag] = by_tag.get(tag, 0) + n
+
     def record_channel(self, payloads: list[tuple[Any, ...]]) -> None:
         """Record one channel-send of a combined list of payloads."""
-        self.messages += 1
-        self.values += len(payloads)
-        for p in payloads:
-            self.words += payload_words(p)
-            tag = p[0]
-            self.by_tag[tag] = self.by_tag.get(tag, 0) + 1
+        self.record_channels(
+            1, len(payloads), sum(map(payload_words, payloads)), Counter(p[0] for p in payloads)
+        )
 
     def count_for_tag(self, tag: str) -> int:
         """Number of values sent with the given tag."""

@@ -160,7 +160,7 @@ SUBSTRATE_RECEIVER_NAMES = frozenset({"substrate", "network", "net"})
 #: the CONGEST message plane may call them: a stats record with no
 #: matching ledger record breaks the ledger↔stats reconciliation that
 #: ``repro comm --check`` enforces.
-CHANNEL_RECORDERS = frozenset({"record_channel"})
+CHANNEL_RECORDERS = frozenset({"record_channel", "record_channels"})
 
 #: :class:`RoundStats` per-host byte counters.  Subscript-writing them
 #: outside the accounting chokepoints charges wire traffic that the comm

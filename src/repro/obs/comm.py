@@ -9,10 +9,16 @@ is fed by the ledger-recording ``MessagePlane`` entry points:
 - the Gluon substrate records one entry per aggregated host-pair message
   per round (reduce and broadcast, plus fault retransmissions), carrying
   the exact byte sizes the engine already charges to ``RoundStats``;
-- the CONGEST plane records one entry per directed channel per round,
-  carrying the message's value and machine-word counts, and checks each
-  channel against the model's bandwidth budget
-  ``B = c·⌈log₂ n⌉`` words per round (:func:`congest_bound_words`).
+- the CONGEST plane records each round's channels in one call, carrying
+  every message's value and machine-word counts, and checks each channel
+  against the model's bandwidth budget ``B = c·⌈log₂ n⌉`` words per
+  round (:func:`congest_bound_words`).
+
+Each :class:`RoundComm` stores what it was given as appended row batches
+``(src, dst, values, words, payload_bytes)``; its per-channel cells
+(:attr:`RoundComm.pairs`) are a projection of those rows, built on first
+read.  Recording thus keeps no per-channel object alive for the garbage
+collector to walk: a row is five ints in five sequences.
 
 Recording is purely additive: the ledger never perturbs accounting, so
 ``EngineRun.deterministic_signature`` is byte-identical with and without
@@ -32,7 +38,8 @@ schema and ``repro comm`` for the command-line view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 #: Bumped on any incompatible change to :meth:`CommLedger.summary`.
@@ -65,7 +72,7 @@ def congest_bound_words(n: int, factor: int = DEFAULT_BOUND_FACTOR) -> int:
     return factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
-@dataclass
+@dataclass(slots=True)
 class CommTotals:
     """Additive message/value/word/byte counters (one aggregation cell)."""
 
@@ -119,22 +126,63 @@ class BoundViolation:
         }
 
 
-@dataclass
 class RoundComm:
     """All traffic of one plane in one round of one run (epoch).
 
     ``epoch`` distinguishes successive runs on the same plane whose round
     counters restart (one CONGEST network run per source batch and phase);
-    planes bump it via :meth:`CommLedger.begin_epoch`.
+    planes bump it via :meth:`CommLedger.begin_epoch`.  ``totals`` is kept
+    current as rows arrive; the per-channel view is :attr:`pairs`.
     """
 
-    plane: str
-    epoch: int
-    phase: str
-    round_index: int
-    totals: CommTotals = field(default_factory=CommTotals)
-    #: (src, dst) -> totals.  Hosts for Gluon, vertex ids for CONGEST.
-    pairs: dict[tuple[int, int], CommTotals] = field(default_factory=dict)
+    __slots__ = ("plane", "epoch", "phase", "round_index", "totals", "_rows", "_pairs")
+
+    def __init__(self, plane: str, epoch: int, phase: str, round_index: int) -> None:
+        self.plane = plane
+        self.epoch = epoch
+        self.phase = phase
+        self.round_index = round_index
+        self.totals = CommTotals()
+        #: Appended row batches: aligned src / dst / values / words /
+        #: payload_bytes sequences, one row per message.
+        self._rows: list[tuple[Sequence[int], ...]] = []
+        self._pairs: dict[tuple[int, int], CommTotals] | None = None
+
+    def append_rows(
+        self,
+        src: Sequence[int],
+        dst: Sequence[int],
+        values: Sequence[int],
+        words: Sequence[int],
+        payload_bytes: Sequence[int],
+    ) -> None:
+        """Append one batch of message rows (the only write path).  The
+        sequences are kept, not copied."""
+        self._rows.append((src, dst, values, words, payload_bytes))
+        self._pairs = None
+
+    @property
+    def pairs(self) -> dict[tuple[int, int], CommTotals]:
+        """(src, dst) -> totals, keys in first-occurrence order, repeated
+        pairs summed.  Hosts for Gluon, vertex ids for CONGEST.
+
+        A read-only projection of the rows, built on first read and
+        cached until the next append; do not mutate it.
+        """
+        if self._pairs is None:
+            out: dict[tuple[int, int], CommTotals] = {}
+            for src, dst, values, words, nbytes in self._rows:
+                for pk, v, w, b in zip(zip(src, dst), values, words, nbytes):
+                    t = out.get(pk)
+                    if t is None:
+                        out[pk] = CommTotals(1, v, w, b)
+                    else:
+                        t.messages += 1
+                        t.values += v
+                        t.words += w
+                        t.payload_bytes += b
+            self._pairs = out
+        return self._pairs
 
 
 class CommLedger:
@@ -172,6 +220,73 @@ class CommLedger:
         """Mark the start of a new run whose round counter restarts."""
         self._epoch[plane] = self._epoch.get(plane, 0) + 1
 
+    def _append(
+        self,
+        plane: str,
+        phase: str,
+        round_index: int,
+        op: str,
+        src: Sequence[int],
+        dst: Sequence[int],
+        values: Sequence[int],
+        words: Sequence[int],
+        payload_bytes: Sequence[int],
+    ) -> None:
+        """Append message rows to their round and add them to the round's
+        and the op's totals.  Every recording entry point goes through
+        here."""
+        key = (plane, self._epoch.get(plane, 0), phase, round_index)
+        rc = self._rounds.get(key)
+        if rc is None:
+            rc = self._rounds[key] = RoundComm(plane, key[1], phase, round_index)
+        ot = self._op_totals.get((plane, op))
+        if ot is None:
+            ot = self._op_totals[(plane, op)] = CommTotals()
+        rc.append_rows(src, dst, values, words, payload_bytes)
+        n, v, w, b = len(src), sum(values), sum(words), sum(payload_bytes)
+        for t in (rc.totals, ot):
+            t.messages += n
+            t.values += v
+            t.words += w
+            t.payload_bytes += b
+
+    def record_round(
+        self,
+        plane: str,
+        phase: str,
+        round_index: int,
+        src: Sequence[int],
+        dst: Sequence[int],
+        *,
+        values: Sequence[int],
+        words: Sequence[int],
+        payload_bytes: Sequence[int],
+        op: str = "send",
+    ) -> list[BoundViolation]:
+        """Record every message of one round in one call.
+
+        Row ``i`` is the message on channel ``(src[i], dst[i])``.
+        Equivalent to :meth:`record` once per row, in order; returns the
+        rows that exceed the CONGEST bandwidth budget, as violations in
+        row order (empty when none do, or when there are no rows, which
+        record nothing).  The ledger keeps the sequences it is given.
+        """
+        if not src:
+            return []
+        self._append(plane, phase, round_index, op, src, dst, values, words, payload_bytes)
+        bound = self.bound_words
+        if plane != PLANE_CONGEST or bound is None or max(words) <= bound:
+            return []
+        found = [
+            BoundViolation(
+                round_index=round_index, src=s, dst=d, words=w, bound_words=bound
+            )
+            for s, d, w in zip(src, dst, words)
+            if w > bound
+        ]
+        self.violations.extend(found)
+        return found
+
     def record(
         self,
         plane: str,
@@ -186,41 +301,25 @@ class CommLedger:
         op: str = "send",
     ) -> BoundViolation | None:
         """Record one aggregated message; return a violation when the
-        CONGEST bandwidth budget is exceeded on this channel this round."""
-        key = (plane, self._epoch.get(plane, 0), phase, round_index)
-        rc = self._rounds.get(key)
-        if rc is None:
-            rc = self._rounds[key] = RoundComm(
-                plane=plane, epoch=key[1], phase=phase, round_index=round_index
-            )
-        pair = rc.pairs.get((src, dst))
-        if pair is None:
-            pair = rc.pairs[(src, dst)] = CommTotals()
-        ot = self._op_totals.get((plane, op))
-        if ot is None:
-            ot = self._op_totals[(plane, op)] = CommTotals()
-        # Inlined CommTotals.add ×3 — this is the ledger's hottest line
-        # (one call per host pair per exchange).
-        for t in (rc.totals, pair, ot):
-            t.messages += 1
-            t.values += values
-            t.words += words
-            t.payload_bytes += payload_bytes
-        if (
-            plane == PLANE_CONGEST
-            and self.bound_words is not None
-            and words > self.bound_words
-        ):
-            v = BoundViolation(
-                round_index=round_index,
-                src=src,
-                dst=dst,
-                words=words,
-                bound_words=self.bound_words,
-            )
-            self.violations.append(v)
-            return v
-        return None
+        CONGEST bandwidth budget is exceeded on this channel this round.
+
+        The CONGEST plane records a whole round at once
+        (:meth:`record_round`), so when a ``hard_fail`` ledger makes it
+        raise, the ledger already holds that round's every channel and
+        every violation, not just those up to the first one.
+        """
+        found = self.record_round(
+            plane,
+            phase,
+            round_index,
+            (src,),
+            (dst,),
+            values=(values,),
+            words=(words,),
+            payload_bytes=(payload_bytes,),
+            op=op,
+        )
+        return found[0] if found else None
 
     def record_pair_message(
         self, rs: Any, src: int, dst: int, values: int, payload_bytes: int, op: str
@@ -234,16 +333,16 @@ class CommLedger:
         construction.  Replayed rounds land under ``"recovery"``, matching
         the manifest's phase attribution.
         """
-        self.record(
+        self._append(
             PLANE_GLUON,
             rs.effective_phase,
             rs.round_index,
-            src,
-            dst,
-            values=values,
-            words=-(-payload_bytes // WORD_BYTES),
-            payload_bytes=payload_bytes,
-            op=op,
+            op,
+            (src,),
+            (dst,),
+            (values,),
+            (-(-payload_bytes // WORD_BYTES),),
+            (payload_bytes,),
         )
 
     def record_pairs(
@@ -263,40 +362,17 @@ class CommLedger:
         """
         if not src:
             return
-        # The round and op cells are looked up as in record(), which
-        # inlines the same lookup on its per-message path.
-        key = (
+        self._append(
             PLANE_GLUON,
-            self._epoch.get(PLANE_GLUON, 0),
             rs.effective_phase,
             rs.round_index,
+            op,
+            src,
+            dst,
+            values,
+            [-(-b // WORD_BYTES) for b in payload_bytes],
+            payload_bytes,
         )
-        rc = self._rounds.get(key)
-        if rc is None:
-            rc = self._rounds[key] = RoundComm(
-                plane=PLANE_GLUON, epoch=key[1], phase=key[2], round_index=key[3]
-            )
-        ot = self._op_totals.get((PLANE_GLUON, op))
-        if ot is None:
-            ot = self._op_totals[(PLANE_GLUON, op)] = CommTotals()
-        pairs = rc.pairs
-        words = [-(-b // WORD_BYTES) for b in payload_bytes]
-        for pk, v, w, b in zip(zip(src, dst), values, words, payload_bytes):
-            pair = pairs.get(pk)
-            if pair is None:
-                pair = pairs[pk] = CommTotals()
-            pair.messages += 1
-            pair.values += v
-            pair.words += w
-            pair.payload_bytes += b
-        sums = dict(
-            messages=len(src),
-            values=sum(values),
-            words=sum(words),
-            payload_bytes=sum(payload_bytes),
-        )
-        rc.totals.add(**sums)
-        ot.add(**sums)
 
     # -- queries ---------------------------------------------------------------
 

@@ -249,6 +249,11 @@ class CongestPlane(MessagePlane):
     per-round telemetry are recorded here, and the resilience channel
     guard runs between accounting and delivery.  The network object
     keeps the graph-shaped state (channels, programs).
+
+    Each round is accounted once: one pass over its outbox feeds
+    :class:`~repro.congest.messages.MessageStats`, the attached
+    ``RoundStats``, the round ledger and a single
+    :meth:`~repro.obs.comm.CommLedger.record_round` call.
     """
 
     num_hosts = None
@@ -312,42 +317,56 @@ class CongestPlane(MessagePlane):
                     any_send = True
 
         result.sends_per_round.append(len(outbox))
+        # -- accounting: one pass over the outbox yields every figure the
+        # round is charged with; stats, ledgers and RoundStats share them.
+        srcs: list[int] = []
+        dsts: list[int] = []
+        counts: list[int] = []
+        words: list[int] = []
+        tags: dict[str, int] = {}
+        payload_words = self._payload_words
+        for (sender, target), payloads in outbox.items():
+            srcs.append(sender)
+            dsts.append(target)
+            counts.append(len(payloads))
+            w = 0
+            for p in payloads:
+                w += payload_words(p)
+                tags[p[0]] = tags.get(p[0], 0) + 1
+            words.append(w)
+        total_values = sum(counts)
         if any_send:
             result.last_send_round = rnd
-            for payloads in outbox.values():
-                result.stats.record_channel(payloads)
+            result.stats.record_channels(len(outbox), total_values, sum(words), tags)
         ledger = tele.comm
         if ledger is not None:
-            for (sender, target), payloads in outbox.items():
-                words = sum(self._payload_words(p) for p in payloads)
-                violation = ledger.record(
-                    self._plane_label,
-                    "congest",
-                    rnd,
-                    sender,
-                    target,
-                    values=len(payloads),
-                    words=words,
-                    payload_bytes=words * self._word_bytes,
-                )
-                if violation is not None:
-                    if tele.enabled:
-                        tele.emit(
-                            "comm",
-                            "congest.bound_violation",
-                            round=rnd,
-                            src=sender,
-                            dst=target,
-                            words=words,
-                            bound_words=violation.bound_words,
-                        )
-                    if ledger.hard_fail:
-                        raise ChannelBandwidthError(
-                            f"channel {sender}->{target} carried {words} words "
-                            f"in round {rnd}, exceeding the CONGEST budget of "
-                            f"{violation.bound_words} words/round"
-                        )
-        total_values = sum(len(p) for p in outbox.values())
+            violations = ledger.record_round(
+                self._plane_label,
+                "congest",
+                rnd,
+                srcs,
+                dsts,
+                values=counts,
+                words=words,
+                payload_bytes=[w * self._word_bytes for w in words],
+            )
+            for violation in violations:
+                if tele.enabled:
+                    tele.emit(
+                        "comm",
+                        "congest.bound_violation",
+                        round=rnd,
+                        src=violation.src,
+                        dst=violation.dst,
+                        words=violation.words,
+                        bound_words=violation.bound_words,
+                    )
+                if ledger.hard_fail:
+                    raise ChannelBandwidthError(
+                        f"channel {violation.src}->{violation.dst} carried "
+                        f"{violation.words} words in round {rnd}, exceeding the "
+                        f"CONGEST budget of {violation.bound_words} words/round"
+                    )
         if tele.enabled:
             tele.emit(
                 "round",
@@ -368,7 +387,7 @@ class CongestPlane(MessagePlane):
             # frontier; non-stopped programs are the still-active workers
             # whose quiescence Lemma 8's detector waits for.
             rledger.note(
-                frontier=len({s for (s, _t) in outbox}),
+                frontier=len(set(srcs)),
                 channels=len(outbox),
                 values=total_values,
                 active_sources=sum(

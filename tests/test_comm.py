@@ -21,6 +21,7 @@ from repro.analysis.commcheck import (
 )
 from repro.cli import main as cli_main
 from repro.cluster.model import ClusterModel
+from repro.congest.messages import MessageStats, payload_words
 from repro.congest.network import CongestNetwork
 from repro.congest.program import VertexProgram
 from repro.core.mrbc import mrbc_engine
@@ -31,10 +32,13 @@ from repro.obs.bench import compare_bench
 from repro.obs.comm import (
     PLANE_CONGEST,
     PLANE_GLUON,
+    WORD_BYTES,
     CommLedger,
+    CommTotals,
     congest_bound_words,
 )
 from repro.obs.manifest import build_manifest, load_manifest, write_manifest
+from repro.obs.sinks import MemorySink
 from repro.runtime.errors import ChannelBandwidthError
 
 
@@ -155,6 +159,137 @@ def test_record_pairs_equals_record_pair_message_loop(exchanges):
     assert [(rc.phase, rc.round_index, rc.pairs) for rc in batched.rounds()] == [
         (rc.phase, rc.round_index, rc.pairs) for rc in looped.rounds()
     ]
+
+
+class Scripted(VertexProgram):
+    """Sends what its script lists for each round; receives nothing."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def compute_sends(self, rnd):
+        return self.script.get(rnd, [])
+
+    def handle_message(self, rnd, sender, payload):
+        pass
+
+    def has_pending_work(self, rnd):
+        return False
+
+
+#: One CONGEST send ``(src, dst, payload)`` on the complete 4-vertex
+#: graph: 1–4 element payloads, so tag-only ones hit the one-word floor.
+_send = st.builds(
+    lambda src, off, tag, vals: (src, (src + off) % 4, (tag, *vals)),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.sampled_from(["apsp", "acc", "bfs"]),
+    st.lists(st.integers(0, 9), max_size=3),
+)
+#: A round: at most MAX_COMBINED_VALUES sends, repeated senders allowed.
+_round = st.lists(_send, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_round, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.sampled_from([None, 1, 2, 3]),
+)
+def test_round_batch_equals_record_per_channel(epochs, bound):
+    """The CONGEST plane's one call per round records exactly what one
+    ``record`` / ``record_channel`` per channel, in send order, would."""
+    g = from_edges(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    batched, looped = CommLedger(bound_words=bound), CommLedger(bound_words=bound)
+    sink = MemorySink()
+    expected_events = []
+    for rounds in epochs:
+        scripts = [{} for _ in range(4)]
+        for rnd, sends in enumerate(rounds, start=1):
+            for src, dst, payload in sends:
+                scripts[src].setdefault(rnd, []).append((dst, payload))
+        with obs.session(sink, comm=batched):
+            res = CongestNetwork(g, lambda v: Scripted(scripts[v])).run(len(rounds))
+        looped.begin_epoch(PLANE_CONGEST)
+        stats = MessageStats()
+        for rnd in range(1, len(rounds) + 1):
+            outbox = {}
+            for v in range(4):
+                for dst, payload in scripts[v].get(rnd, []):
+                    outbox.setdefault((v, dst), []).append(payload)
+            for (src, dst), payloads in outbox.items():
+                stats.record_channel(payloads)
+                words = sum(map(payload_words, payloads))
+                violation = looped.record(
+                    PLANE_CONGEST, "congest", rnd, src, dst,
+                    values=len(payloads), words=words,
+                    payload_bytes=words * WORD_BYTES,
+                )
+                if violation is not None:
+                    expected_events.append(violation.to_dict())
+        got = res.stats
+        assert (got.messages, got.values, got.words) == (
+            stats.messages, stats.values, stats.words
+        )
+        assert list(got.by_tag.items()) == list(stats.by_tag.items())
+    assert batched.summary(top=64) == looped.summary(top=64)
+    assert batched.per_round() == looped.per_round()
+    assert batched.pair_totals(PLANE_CONGEST) == looped.pair_totals(PLANE_CONGEST)
+    assert batched.top_channels(PLANE_CONGEST, 64) == looped.top_channels(
+        PLANE_CONGEST, 64
+    )
+    assert batched.max_channel_words() == looped.max_channel_words()
+    assert batched.violations == looped.violations
+    assert [
+        (rc.epoch, rc.round_index, list(rc.pairs.items())) for rc in batched.rounds()
+    ] == [
+        (rc.epoch, rc.round_index, list(rc.pairs.items())) for rc in looped.rounds()
+    ]
+    events = [
+        {k: e.attrs[k] for k in ("round", "src", "dst", "words", "bound_words")}
+        for e in sink.of_kind("comm")
+        if e.name == "congest.bound_violation"
+    ]
+    assert events == expected_events
+
+
+def test_gluon_pairs_projection_sums_reduce_and_broadcast():
+    """Reduce and broadcast rows hitting the same pair in one round sum
+    into one cell, keys in first-occurrence order — also when the
+    projection was read between the two exchanges."""
+    rs = rs_stub("forward", 1)
+    batched, looped = CommLedger(), CommLedger()
+    batched.record_pairs(rs, [0, 1], [1, 0], [2, 1], [24, 9], "reduce")
+    (rc,) = batched.rounds()
+    assert list(rc.pairs) == [(0, 1), (1, 0)]
+    batched.record_pairs(rs, [2, 0], [3, 1], [1, 3], [8, 40], "broadcast")
+    for src, dst, values, nbytes, op in [
+        (0, 1, 2, 24, "reduce"), (1, 0, 1, 9, "reduce"),
+        (2, 3, 1, 8, "broadcast"), (0, 1, 3, 40, "broadcast"),
+    ]:
+        looped.record_pair_message(rs, src, dst, values, nbytes, op)
+    assert list(rc.pairs) == [(0, 1), (1, 0), (2, 3)]
+    assert rc.pairs[(0, 1)] == CommTotals(
+        messages=2, values=5, words=3 + 5, payload_bytes=64
+    )
+    assert rc.pairs == looped.rounds()[0].pairs
+    assert batched.summary(top=8) == looped.summary(top=8)
+
+
+def test_hard_fail_names_first_oversized_channel_in_send_order():
+    """Two oversized channels in one round: the error names the first one
+    sent, after the whole round is on the ledger."""
+    big = ("apsp",) + (1,) * 9  # 9 words, over the 4-word budget of n=2..4
+    scripts = [{}, {1: [(2, big)]}, {1: [(0, big)]}, {}]
+    g = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    ledger = CommLedger(bound_words=congest_bound_words(2), hard_fail=True)
+    sink = MemorySink()
+    with obs.session(sink, comm=ledger):
+        with pytest.raises(ChannelBandwidthError, match=r"channel 1->2 carried 9 words"):
+            CongestNetwork(g, lambda v: Scripted(scripts[v])).run(2)
+    assert [(v.src, v.dst) for v in ledger.violations] == [(1, 2), (2, 0)]
+    assert ledger.totals(PLANE_CONGEST).messages == 2
+    events = [e for e in sink.of_kind("comm") if e.name == "congest.bound_violation"]
+    assert [(e.attrs["src"], e.attrs["dst"]) for e in events] == [(1, 2)]
 
 
 class Oversized(VertexProgram):

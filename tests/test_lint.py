@@ -366,6 +366,13 @@ class TestRuleFixtures:
         """
         assert "RL403" in codes(src)
 
+    def test_rl403_flags_round_stats_record_outside_plane(self):
+        src = """
+            def account(stats, tags):
+                stats.record_channels(3, 5, 7, tags)
+        """
+        assert "RL403" in codes(src)
+
     def test_rl403_passes_plane_receiver(self):
         src = """
             def forward(gluon, pending, rs):
