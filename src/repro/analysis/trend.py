@@ -60,9 +60,6 @@ class TrendPoint:
     suite: str
     wall_median_s: float | None
     wall_iqr_s: float | None
-    #: Columnar-tier speedup over the dict twin in the same snapshot
-    #: (``@array`` cases from ``repro bench --plane both`` only).
-    speedup_vs_dict: float | None = None
     deterministic: dict[str, Any] = field(default_factory=dict)
     comm: dict[str, Any] | None = None
     rounds: dict[str, Any] | None = None
@@ -81,7 +78,6 @@ class TrendPoint:
             "suite": self.suite,
             "wall_median_s": self.wall_median_s,
             "wall_iqr_s": self.wall_iqr_s,
-            "speedup_vs_dict": self.speedup_vs_dict,
             "deterministic": self.deterministic,
             "comm": self.comm,
             "rounds": self.rounds,
@@ -265,7 +261,6 @@ def build_trend(
                 suite=doc.get("suite", "?"),
                 wall_median_s=wall.get("median"),
                 wall_iqr_s=wall.get("iqr"),
-                speedup_vs_dict=wall.get("speedup_vs_dict"),
                 deterministic=case.get("deterministic", {}),
                 comm=case.get("comm"),
                 rounds=case.get("rounds"),
@@ -298,8 +293,6 @@ def render_trend(report: TrendReport) -> str:
             wall = (
                 f"{pt.wall_median_s:.4f}s" if pt.wall_median_s is not None else "-"
             )
-            if pt.speedup_vs_dict is not None:
-                wall += f" ({pt.speedup_vs_dict:.2f}x vs dict)"
             rounds = pt.rounds.get("total") if pt.rounds else "-"
             comm = pt.comm.get("payload_bytes") if pt.comm else "-"
             step = pt.step + (" (env changed)" if pt.env_changed else "")

@@ -166,7 +166,7 @@ class GluonSubstrate:
         if self.exact_sizes:
             raise ValueError(
                 "columnar accounting requires the closed-form size model; "
-                "exact_sizes stays on the dict plane"
+                "exact_sizes goes through the per-item tuple path"
             )
         sender, receiver, n_items, n_vertices, source_meta = pairs
         # 1 per pair message; local delivery is free.  int64, not bool:

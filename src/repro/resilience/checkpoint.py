@@ -40,7 +40,7 @@ import numpy as np
 from repro.resilience.errors import CheckpointCorruptError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.mrbc import _BatchExecutor
+    from repro.core.mrbc import _ArrayBatchExecutor
 
 #: Meta key carrying the snapshot's content digest (stripped on load).
 DIGEST_KEY = "__digest__"
@@ -212,18 +212,15 @@ class CheckpointStore:
 
 
 def mrbc_forward_snapshot(
-    ex: "_BatchExecutor",
+    ex: "_ArrayBatchExecutor",
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Capture a batch executor's post-forward state for backward replay.
 
-    Accepts either the dict-plane executor directly or the columnar
-    executor via its ``to_rows()`` view — both produce the identical
-    snapshot (same meta, same arrays, same digest), so checkpoints are
-    cross-plane compatible.
+    The snapshot holds one row-format (``MasterVertexState``) record
+    per master plus the per-host finalized arrays.
     """
-    view = ex.to_rows() if hasattr(ex, "to_rows") else ex
     masters: dict[str, Any] = {}
-    for gid, ms in view.masters.items():
+    for gid, ms in ex.masters.to_rows().items():
         masters[str(gid)] = {
             "entries": [[int(d), int(si)] for d, si in ms.entries],
             "best": {str(si): [int(d), float(sg)] for si, (d, sg) in ms.best.items()},
@@ -236,21 +233,23 @@ def mrbc_forward_snapshot(
         }
     meta = {
         "kind": "mrbc-forward",
-        "batch": [int(s) for s in view.batch.tolist()],
+        "batch": [int(s) for s in ex.batch.tolist()],
         "masters": masters,
     }
     arrays: dict[str, np.ndarray] = {}
-    for h, st in enumerate(view.hosts):
+    A = ex.arena
+    for h in range(ex.H):
+        rows = A.rows_of(h)
         # Checkpoints deliberately capture proxies *as-is*, provisional or
         # final — restore puts back the identical bytes, so the delayed-sync
         # contract is preserved across a recovery, not re-established.
-        arrays[f"fin_dist_{h}"] = st.fin_dist.copy()  # repro-lint: disable=RL301
-        arrays[f"fin_sigma_{h}"] = st.fin_sigma.copy()  # repro-lint: disable=RL301
+        arrays[f"fin_dist_{h}"] = A.fin_dist[rows].copy()  # repro-lint: disable=RL301
+        arrays[f"fin_sigma_{h}"] = A.fin_sigma[rows].copy()  # repro-lint: disable=RL301
     return meta, arrays
 
 
 def restore_mrbc_forward(
-    ex: "_BatchExecutor",
+    ex: "_ArrayBatchExecutor",
     meta: dict[str, Any],
     arrays: dict[str, np.ndarray],
 ) -> None:
@@ -273,12 +272,4 @@ def restore_mrbc_forward(
             for si, per in rec["contrib"].items()
         }
         masters[int(gid_s)] = ms
-    if hasattr(ex, "from_rows"):
-        # Columnar executor: load the row-format snapshot into columns.
-        ex.from_rows(masters, arrays)
-        return
-    ex.masters = masters
-    ex.delta = {}
-    for h, st in enumerate(ex.hosts):
-        st.fin_dist[:] = arrays[f"fin_dist_{h}"]
-        st.fin_sigma[:] = arrays[f"fin_sigma_{h}"]
+    ex.from_rows(masters, arrays)

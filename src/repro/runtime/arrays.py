@@ -1,28 +1,25 @@
-"""Columnar per-source state for the vectorized (array) message plane.
+"""Columnar per-source state for the MRBC and SBBC executors.
 
-The dict plane keeps per-vertex Python dicts (``MasterVertexState``,
-``local_lists``) and exchanges per-vertex tuples; this module provides the
-columnar twin: dense ``(k, n)`` / ``(L, k)`` NumPy arrays for
-distance/σ/δ, :class:`~repro.utils.bitset.Bitset`-backed masks for the
-delayed-sync staging sets, and :class:`ExchangeBatch` — the unit of
-exchange on the :class:`~repro.runtime.plane.GluonArrayPlane`: every
-host's rows in one host-sorted struct of arrays instead of one tuple
-list per host.
+Dense ``(k, n)`` / ``(L, k)`` NumPy arrays hold distance/σ/δ,
+:class:`~repro.utils.bitset.Bitset`-backed masks hold the delayed-sync
+staging sets, and :class:`ExchangeBatch` is the unit of exchange on the
+:class:`~repro.runtime.plane.GluonArrayPlane`: every host's rows in one
+host-sorted struct of arrays instead of one tuple list per host.
 
-Explicit converters bridge the two representations:
+Explicit converters bridge to the row formats other layers use:
 
 - :meth:`MasterColumns.to_rows` / :meth:`MasterColumns.from_rows`
-  translate between the columnar master state and the dict plane's
-  ``{gid: MasterVertexState}`` map (used by checkpoints — snapshots are
-  cross-plane compatible — and by the resilience invariant checker);
+  translate between the columnar master state and a
+  ``{gid: MasterVertexState}`` map (the checkpoint format);
 - :meth:`ExchangeBatch.to_tuples` / :meth:`ExchangeBatch.from_tuples`
   translate exchange payloads, which is how the array plane routes
-  through the guarded dict substrate under a fault plan.
+  through the substrate's per-item tuple path (fault plans, exact wire
+  sizes).
 
-Iteration-order contract: everywhere the dict plane's behavior depends on
-dict insertion order (master creation, fire emission, backward schedule),
-the columnar state carries an explicit sequence number
-(``master_seq``) so both planes produce byte-identical engine counts.
+Iteration-order contract: every order-sensitive sweep (fire emission,
+backward schedule, snapshots) follows master creation order, carried as
+an explicit sequence number (``master_seq``), so engine counts are
+deterministic and independent of hash order.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from repro.utils.bitset import Bitset
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mrbc import MasterVertexState
 
-#: "Infinite" distance sentinel (identical to the dict plane's).
+#: "Infinite" distance sentinel (identical to :data:`repro.core.mrbc.INF`).
 INF = np.iinfo(np.int32).max
 
 #: Sentinel larger than any schedule key ``d * (k + 1) + si``.
@@ -73,9 +70,9 @@ class ExchangeBatch:
     for a staged batch, the destination for an inbox) — ``gids`` names
     each row's global vertex and ``cols`` carries the payload columns
     (e.g. source slot, distance, σ).  Within one host, rows keep the
-    order they were staged or delivered in.  The dict plane's equivalent
-    is one list of ``(gid, *payload)`` tuples per host; the converters
-    below translate losslessly in both directions.
+    order they were staged or delivered in.  The substrate's tuple path
+    carries one list of ``(gid, *payload)`` tuples per host instead; the
+    converters below translate losslessly in both directions.
 
     Iterating yields one sized row range per host, so code that walks an
     exchange host by host (item counters, tests) sees the per-host shape.
@@ -140,7 +137,7 @@ class ExchangeBatch:
         return (range(a, b) for a, b in zip(off[:-1], off[1:]))
 
     def to_tuples(self) -> list[list[tuple[Any, ...]]]:
-        """The dict plane's representation: per host, ``(gid, *payload)``."""
+        """The tuple-path representation: per host, ``(gid, *payload)``."""
         rows = list(zip(self.gids.tolist(), *(c.tolist() for c in self.cols)))
         return [rows[r.start : r.stop] for r in self]
 
@@ -148,7 +145,7 @@ class ExchangeBatch:
     def from_tuples(
         cls, per_host: list[list[tuple[Any, ...]]], dtypes: tuple[Any, ...]
     ) -> "ExchangeBatch":
-        """Rebuild a batch from dict-plane per-host tuple lists.
+        """Rebuild a batch from per-host tuple lists.
 
         ``dtypes`` gives the payload column dtypes (``gids`` is always
         int64); required because an empty exchange carries no type info.
@@ -181,13 +178,12 @@ class HostArena:
     are untouched because a cell key ``row * k + si`` already encodes
     the host, so items from different hosts can never interact.
 
-    Mirrors the dict plane's ``HostState`` field for field, with two
-    exceptions: the sorted per-vertex candidate lists (``local_lists``)
-    are *derived* from ``cand_dist`` on demand (list entry ⟺ candidate
-    distance present — the invariant the dict plane maintains by hand),
-    and the ``unsent`` set is a :class:`Bitset` over arena rows, whose
-    sorted index vector is exactly the dict plane's (host, lid)
-    iteration order.
+    The proxies' sorted per-vertex candidate lists (the local ``L_v`` of
+    §4.3) are not stored: they are *derived* from ``cand_dist`` on demand
+    (list entry ⟺ candidate distance present), see
+    :meth:`derive_local_lists`.  The ``unsent`` set is a :class:`Bitset`
+    over arena rows, whose sorted index vector is the (host, lid)
+    staging order.
 
     ``lut[h, gid]`` resolves a delivery to its arena row in one gather
     (−1 = no proxy).  It costs ``H × n`` int64s — fine at the repo's
@@ -291,15 +287,9 @@ class HostArena:
         """Arena row range belonging to host ``h``."""
         return slice(int(self.off[h]), int(self.off[h + 1]))
 
-    def host_view(self, h: int) -> "_HostRowView":
-        """Per-host view of the finalized arrays (checkpoint shape)."""
-        sl = self.rows_of(h)
-        # Checkpoint/restore seam: runs at a round boundary by contract.
-        return _HostRowView(self.fin_dist[sl], self.fin_sigma[sl])  # repro-lint: disable=RL301
-
     def derive_local_lists(self, h: int) -> dict[int, list[tuple[int, int]]]:
-        """The dict plane's ``local_lists`` view for host ``h``: per
-        local vertex, the lexicographically sorted ``(d, si)`` pairs."""
+        """The proxies' local lists on host ``h``: per local vertex, the
+        lexicographically sorted ``(d, si)`` candidate pairs."""
         sl = self.rows_of(h)
         out: dict[int, list[tuple[int, int]]] = {}
         sub = self.cand_dist[sl]
@@ -311,45 +301,22 @@ class HostArena:
         return out
 
 
-class RowStateView:
-    """Dict-plane-shaped view of an array executor (``to_rows()`` result).
-
-    Quacks like a ``_BatchExecutor`` where checkpoints and the invariant
-    checker are concerned: ``masters`` is a ``{gid: MasterVertexState}``
-    map in creation order, ``hosts`` exposes the per-host finalized
-    arrays, ``batch`` is the source batch.
-    """
-
-    __slots__ = ("masters", "hosts", "batch")
-
-    def __init__(self, masters: dict, hosts: list, batch: np.ndarray) -> None:
-        self.masters = masters
-        self.hosts = hosts
-        self.batch = batch
-
-
-class _HostRowView:
-    __slots__ = ("fin_dist", "fin_sigma")
-
-    def __init__(self, fin_dist: np.ndarray, fin_sigma: np.ndarray) -> None:
-        self.fin_dist = fin_dist
-        self.fin_sigma = fin_sigma
-
-
 class MasterColumns:
     """Authoritative master state for one batch, as dense columns.
 
-    The dict plane's ``{gid: MasterVertexState}`` becomes:
+    The row format's ``{gid: MasterVertexState}`` becomes:
 
     - ``ent_d[si, gid]`` — the schedule-entry distance (INF = absent);
       the fired/unfired split is ``fired`` plus ``sent_prefix``;
     - ``best_sigma[si, gid]`` — the authoritative σ*;
     - ``contrib_d/contrib_sigma[h, si, gid]`` — per-host contributions,
-      with the virtual source host (−1 in the dict plane) stored at row
+      with the virtual source host (−1 in the row format) stored at row
       ``H``;
     - ``tau[si, gid]`` — fire timestamps for the backward schedule;
+    - ``prefix_end[gid]`` — the schedule key ``d * (k + 1) + si`` of the
+      master's last fired entry (−1 before its first fire);
     - ``master_seq[gid]`` / ``master_order`` — creation order, which is
-      the dict plane's insertion order; every order-sensitive sweep
+      the row format's dict order; every order-sensitive sweep
       (fire emission, backward schedule, snapshots) follows it.
     """
 
@@ -362,6 +329,7 @@ class MasterColumns:
         self.fired = np.zeros((k, n), dtype=bool)
         self.tau = np.zeros((k, n), dtype=np.int64)
         self.sent_prefix = np.zeros(n, dtype=np.int64)
+        self.prefix_end = np.full(n, -1, dtype=np.int64)
         self.contrib_d = np.full((num_hosts + 1, k, n), INF, dtype=np.int64)
         self.contrib_sigma = np.zeros((num_hosts + 1, k, n), dtype=np.float64)
         self.master_seq = np.full(n, -1, dtype=np.int64)
@@ -371,7 +339,7 @@ class MasterColumns:
     # -- registration ------------------------------------------------------
 
     def register(self, gid: int) -> None:
-        """Create the master for ``gid`` if absent (dict setdefault)."""
+        """Create the master for ``gid`` if absent."""
         if self.master_seq[gid] < 0:
             self.master_seq[gid] = len(self.master_order)
             self.master_order.append(int(gid))
@@ -396,16 +364,11 @@ class MasterColumns:
 
     # -- derived views -----------------------------------------------------
 
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean ``(k, n)``: schedule entry exists for (si, gid)."""
-        return self.ent_d != INF
-
     def schedule_key(self) -> np.ndarray:
         """``d * (k + 1) + si`` over unfired entries, else :data:`BIG`.
 
-        The per-master minimum of this key is the head of the dict
-        plane's sorted entry list past the fired prefix (send rounds are
+        The per-master minimum of this key is the head of the master's
+        sorted entry list ``L_v`` past the fired prefix (send rounds are
         strictly increasing along it, so fired entries are a prefix).
         """
         act = (self.ent_d != INF) & ~self.fired
@@ -418,7 +381,7 @@ class MasterColumns:
     # -- row converters ----------------------------------------------------
 
     def to_rows(self) -> "dict[int, MasterVertexState]":
-        """The dict plane's ``{gid: MasterVertexState}`` in creation order."""
+        """The row format's ``{gid: MasterVertexState}`` in creation order."""
         from repro.core.mrbc import MasterVertexState
 
         out: dict[int, MasterVertexState] = {}
@@ -454,7 +417,7 @@ class MasterColumns:
         return out
 
     def from_rows(self, masters: "dict[int, MasterVertexState]") -> None:
-        """Load dict-plane master state (checkpoint restore path)."""
+        """Load row-format master state (checkpoint restore path)."""
         for gid, ms in masters.items():
             self.register(int(gid))
             self.sent_prefix[gid] = ms.sent_prefix
@@ -464,6 +427,8 @@ class MasterColumns:
             for si, t in ms.tau.items():
                 self.fired[si, gid] = True
                 self.tau[si, gid] = t
+                key = ms.best[si][0] * (self.k + 1) + si
+                self.prefix_end[gid] = max(self.prefix_end[gid], key)
             for si, per in ms.contrib.items():
                 for h, (d, sg) in per.items():
                     row = self.H if h < 0 else h

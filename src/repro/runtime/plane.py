@@ -70,20 +70,11 @@ class GluonPlane(MessagePlane):
     unchanged because callers decide *which* items each round reduces.
     """
 
-    def __init__(
-        self,
-        pg,
-        *,
-        resilience=None,
-        exact_sizes: bool = False,
-        substrate=None,
-    ) -> None:
+    def __init__(self, pg, *, resilience=None, substrate=None) -> None:
         if substrate is None:
             from repro.engine.gluon import GluonSubstrate
 
-            substrate = GluonSubstrate(
-                pg, exact_sizes=exact_sizes, resilience=resilience
-            )
+            substrate = GluonSubstrate(pg, resilience=resilience)
         self.pg = pg
         self.substrate = substrate
         self.num_hosts = pg.num_hosts
@@ -106,31 +97,30 @@ class GluonPlane(MessagePlane):
 class GluonArrayPlane(MessagePlane):
     """Columnar host-level reduce/broadcast: one flat batch per exchange.
 
-    The vectorized twin of :class:`GluonPlane`.  An exchange is one
+    The plane MRBC and SBBC run on.  An exchange is one
     :class:`~repro.runtime.arrays.ExchangeBatch` — every host's rows in
     one host-sorted struct of arrays — instead of per-host tuple lists;
     routing, inbox assembly and the per-pair statistics that feed
     Gluon's byte model are array reductions over the whole batch, and
     the substrate accounts every pair of the exchange in one call.  Byte
     counts, ledger entries and telemetry come from the same
-    :class:`~repro.engine.gluon.GluonSubstrate` model, so both planes
-    report identical communication numbers.
+    :class:`~repro.engine.gluon.GluonSubstrate` model as
+    :class:`GluonPlane`'s, so both report identical communication
+    numbers for the same items.
 
-    Two deliberate scope limits keep the dict plane authoritative where
-    fidelity beats speed:
+    Two substrate modes need the per-item tuple path, and every exchange
+    then round-trips through the substrate's tuple primitives
+    (:meth:`ExchangeBatch.to_tuples` / ``from_tuples``):
 
-    - ``exact_sizes`` is refused (it encodes each item individually);
-    - under a :class:`~repro.resilience.context.ResilienceContext`, every
-      exchange round-trips through the guarded tuple substrate
-      (:meth:`ExchangeBatch.to_tuples` / ``from_tuples``), so fault
-      injection, channel verification and repair behave identically by
-      construction — at dict-plane speed.
+    - ``exact_sizes`` (pass a substrate built with it) encodes each item
+      individually;
+    - under a :class:`~repro.resilience.context.ResilienceContext`, fault
+      injection, channel verification and repair act on tuples.
 
-    The inbox ordering contract matches the dict plane exactly: inbox
-    rows are sorted by destination host, senders ascending within a
-    destination, items within a sender in staging order (reduce inboxes
-    carry the sender as the first payload column, mirroring the tuple
-    plane's ``(gid, sender, *payload)``).
+    Inbox ordering: rows are sorted by destination host, senders
+    ascending within a destination, items within a sender in staging
+    order (reduce inboxes carry the sender as the first payload column,
+    as the tuple path's ``(gid, sender, *payload)`` does).
     """
 
     def __init__(self, pg, *, resilience=None, substrate=None) -> None:
@@ -138,14 +128,11 @@ class GluonArrayPlane(MessagePlane):
             from repro.engine.gluon import GluonSubstrate
 
             substrate = GluonSubstrate(pg, resilience=resilience)
-        if substrate.exact_sizes:
-            raise ValueError(
-                "exact_sizes requires per-item encoding; use the dict plane"
-            )
         self.pg = pg
         self.substrate = substrate
         self.num_hosts = pg.num_hosts
         self._n = int(pg.master_of.size)
+        self._tuple_path = substrate.resilience is not None or substrate.exact_sizes
 
     def _pair_stats(self, snd, dest, gids, batch_width):
         """Per host pair with traffic, ordered by pair key: aligned
@@ -190,7 +177,7 @@ class GluonArrayPlane(MessagePlane):
         Returns the master inbox grouped by master host, whose first
         payload column is the sender.
         """
-        if self.substrate.resilience is not None:
+        if self._tuple_path:
             inbox = self.substrate.reduce_to_masters(
                 batch.to_tuples(), payload_bytes, batch_width, rs
             )
@@ -219,13 +206,13 @@ class GluonArrayPlane(MessagePlane):
             raise UnknownBroadcastTargetError(
                 f"unknown broadcast target {targets!r}"
             ) from None
-        if self.substrate.resilience is not None:
+        if self._tuple_path:
             inbox = self.substrate.broadcast_from_masters(
                 batch.to_tuples(), targets, payload_bytes, batch_width, rs
             )
             return ExchangeBatch.from_tuples(inbox, batch.dtypes)
         # One expansion over every sender's rows, in sender order —
-        # identical item sequence to the tuple plane's per-host loop.
+        # identical item sequence to the tuple path's per-host loop.
         item_of, dst = expand_csr(offsets, hosts, batch.gids)
         gids = batch.gids[item_of]
         dest = dst.astype(np.int64, copy=False)

@@ -89,3 +89,51 @@ def some_sources(g: DiGraph, k: int = 6) -> list[int]:
     n = g.num_vertices
     step = max(1, n // k)
     return list(range(0, n, step))[:k]
+
+
+# -- MRBC master-state drivers --------------------------------------------------
+
+
+def batch_executor(batch: list[int], n: int = 8, num_hosts: int = 3):
+    """An MRBC batch executor for sources ``batch`` on a directed path."""
+    from repro.core.mrbc import _ArrayBatchExecutor
+    from repro.engine.partition import partition_graph
+    from repro.engine.stats import EngineRun
+    from repro.runtime.plane import GluonArrayPlane
+
+    pg = partition_graph(gen.path_graph(n, bidirectional=False), num_hosts, "cvc")
+    return _ArrayBatchExecutor(
+        pg,
+        GluonArrayPlane(pg),
+        EngineRun(num_hosts=num_hosts),
+        np.asarray(batch, dtype=np.int64),
+        True,
+    )
+
+
+def report(ex, gid: int, *items: tuple[int, int, int, float]) -> None:
+    """Deliver host reports ``(host, si, d, σ)`` for vertex ``gid`` to its
+    master as one reduce inbox."""
+    from repro.runtime.arrays import ExchangeBatch
+
+    host, si, d, sg = zip(*items)
+    m = len(items)
+    inbox = ExchangeBatch(
+        np.full(m, int(ex.pg.master_of[gid]), dtype=np.int64),
+        np.full(m, gid, dtype=np.int64),
+        (
+            np.asarray(host, dtype=np.int64),
+            np.asarray(si, dtype=np.int64),
+            np.asarray(d, dtype=np.int64),
+            np.asarray(sg, dtype=np.float64),
+        ),
+        ex.H,
+    )
+    ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
+
+
+def fire(ex, rnd: int) -> list[tuple[int, int, int, float]]:
+    """Apply round ``rnd``'s send rule; the fired ``(gid, si, d, σ)``."""
+    fires, _count, _pending = ex._emit_fires(rnd, ex.run.new_round("forward"))
+    si, d, sg = fires.cols
+    return list(zip(fires.gids.tolist(), si.tolist(), d.tolist(), sg.tolist()))

@@ -21,10 +21,9 @@ import pytest
 from repro.baselines.brandes import brandes_bc
 from repro.congest.network import CongestNetwork
 from repro.core.apsp import APSPVertexState, DirectedAPSPProgram
-from repro.core.mrbc import MasterVertexState
 from repro.core.mrbc_congest import mrbc_congest
 from repro.resilience import FaultPlan, FaultSpec, ResilienceContext
-from tests.conftest import some_sources
+from tests.conftest import batch_executor, fire, report, some_sources
 
 
 class TestMessageLoss:
@@ -91,17 +90,32 @@ class TestStateMachineGuards:
     def test_master_sigma_update_after_fire_asserts(self):
         """σ contributions must all arrive before the fire round; a late
         same-distance contribution trips the guard."""
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)
-        assert ms.next_fire(2) == (1, 0, 1.0)
-        with pytest.raises(AssertionError):
-            ms.apply_contribution(0, host=2, d=1, sigma=2.0)
+        ex = batch_executor([0])
+        report(ex, 5, (1, 0, 1, 1.0))
+        fire(ex, 1)  # the source itself
+        assert fire(ex, 2) == [(5, 0, 1, 1.0)]
+        with pytest.raises(AssertionError, match="sigma update after fire"):
+            report(ex, 5, (2, 0, 1, 2.0))
+
+    @pytest.mark.parametrize("earlier", [[], [(1, 0, 3, 1.0)]])
+    def test_master_entry_below_sent_prefix_asserts(self, earlier):
+        """A new (or improved) entry may not sort before a fired one:
+        (d=1, s=0) arriving after (d=1, s=1) fired at vertex 5."""
+        ex = batch_executor([0, 1])
+        for item in earlier:  # an unfired (d=3, s=0) entry to improve
+            report(ex, 5, item)
+        report(ex, 5, (1, 1, 1, 1.0))
+        fire(ex, 1)  # the sources
+        assert fire(ex, 2) == [(5, 1, 1, 1.0)]
+        with pytest.raises(AssertionError, match="below sent prefix"):
+            report(ex, 5, (2, 0, 1, 1.0))
 
     def test_master_missed_fire_asserts(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)  # due round 2
-        with pytest.raises(AssertionError):
-            ms.next_fire(3)
+        ex = batch_executor([0])
+        report(ex, 5, (1, 0, 1, 1.0))  # due round 2
+        fire(ex, 1)
+        with pytest.raises(AssertionError, match="missed fire"):
+            fire(ex, 3)
 
 
 class TestCorruptionDetection:

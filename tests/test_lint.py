@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 import repro.core.mrbc as mrbc_mod
@@ -29,6 +30,7 @@ from repro.lint import RULES, Baseline, ModuleInfo, lint_main, run_rules
 from repro.lint.runner import lint_file, run_lint
 from repro.resilience import ResilienceContext
 from repro.resilience.errors import InvariantViolation
+from repro.runtime.arrays import ExchangeBatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -955,11 +957,12 @@ class TestDogfood:
         assert isinstance(baseline.entries, dict)
 
 
-class _LateFireMasterState(mrbc_mod.MasterVertexState):
+class _LateFireExecutor(mrbc_mod._ArrayBatchExecutor):
     """An off-by-one scheduler: fires entries one round late.
 
-    Statically this is exactly what RL203 flags (``d + sent_prefix + 2``);
-    at runtime the recorded τ violates ``τ = d + pos + 1`` and the
+    Statically this is exactly what RL203 flags (``d + sent_prefix + 2``
+    in ``BROKEN_SRC``, the per-master form of the send rule); at runtime
+    the recorded τ violates ``τ = d + pos + 1`` and the
     InvariantChecker's ``timestamp_schedule`` check must catch it.
     """
 
@@ -974,35 +977,42 @@ class _LateFireMasterState(mrbc_mod.MasterVertexState):
             return None
     """
 
-    def next_fire(self, rnd):
-        if self.sent_prefix >= len(self.entries):
-            return None
-        d, si = self.entries[self.sent_prefix]
+    def _emit_fires(self, rnd, rs):
+        M = self.masters
+        kmin = M.schedule_key().min(axis=0)
+        has = kmin < mrbc_mod.BIG
         # Deliberately broken schedule — this class exists to prove the
         # runtime checker catches what RL203 catches statically.
-        due = d + self.sent_prefix + 2  # repro-lint: disable=RL203
-        if due == rnd:
-            self.sent_prefix += 1
-            self.tau[si] = rnd
-            return d, si, self.best[si][1]
-        return None
+        due = np.where(has, kmin // (self.k + 1), 0) + M.sent_prefix + 2
+        g = np.nonzero(has & (due == rnd))[0]
+        fires = self._no_fwd
+        if g.size:
+            g = g[M.order_by_seq(g)]
+            si_f = kmin[g] % (self.k + 1)
+            d_f = kmin[g] // (self.k + 1)
+            M.fired[si_f, g] = True
+            M.tau[si_f, g] = rnd
+            M.sent_prefix[g] += 1
+            fires = ExchangeBatch.grouped(
+                self.pg.master_of[g], g, (si_f, d_f, M.best_sigma[si_f, g]), self.H
+            )
+        any_pending = bool(((M.ent_d != mrbc_mod.INF) & ~M.fired).any())
+        return fires, int(g.size), any_pending
 
 
 class TestStaticRuntimeAgreement:
     """One violation, caught by both layers (ISSUE 4's cross-check)."""
 
     def test_static_rl203_flags_broken_schedule(self):
-        assert "RL203" in codes(_LateFireMasterState.BROKEN_SRC)
+        assert "RL203" in codes(_LateFireExecutor.BROKEN_SRC)
         assert "RL203" not in codes(
-            _LateFireMasterState.BROKEN_SRC.replace("+ 2", "+ 1")
+            _LateFireExecutor.BROKEN_SRC.replace("+ 2", "+ 1")
         )
 
     def test_runtime_invariant_checker_flags_same_schedule(self, monkeypatch):
         g = gen.erdos_renyi(30, 3.0, seed=7)
         ctx = ResilienceContext(plan=None, mode="detect")
-        monkeypatch.setattr(
-            mrbc_mod, "MasterVertexState", _LateFireMasterState
-        )
+        monkeypatch.setattr(mrbc_mod, "_ArrayBatchExecutor", _LateFireExecutor)
         with pytest.raises(InvariantViolation) as exc:
             mrbc_mod.mrbc_engine(
                 g,

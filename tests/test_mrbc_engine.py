@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.brandes import brandes_bc
-from repro.core.mrbc import MasterVertexState, mrbc_engine
+from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import mrbc_congest
 from repro.engine.partition import partition_graph
-from tests.conftest import some_sources
+from tests.conftest import batch_executor, fire, report, some_sources
 
 
 class TestBCCorrectness:
@@ -99,39 +99,44 @@ class TestDelayedSync:
 
 
 class TestMasterVertexState:
+    """The master-side ``L_v`` rule as the batch executor applies it,
+    read back in row format (``MasterVertexState``)."""
+
+    V = 5  # a non-source vertex of the path
+
     def test_source_seeding_fires_round_one(self):
-        ms = MasterVertexState()
-        ms.initialize_source(3)
-        assert ms.next_fire(1) == (0, 3, 1.0)
-        assert ms.all_fired()
+        ex = batch_executor([3])
+        assert fire(ex, 1) == [(3, 0, 0, 1.0)]
+        ms = ex.masters.to_rows()[3]
+        assert ms.entries == [(0, 0)] and ms.sent_prefix == 1  # all fired
 
     def test_contributions_aggregate_across_hosts(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=2, sigma=3.0)
-        ms.apply_contribution(0, host=2, d=2, sigma=4.0)
-        assert ms.best[0] == (2, 7.0)
+        ex = batch_executor([0])
+        report(ex, self.V, (1, 0, 2, 3.0), (2, 0, 2, 4.0))
+        assert ex.masters.to_rows()[self.V].best[0] == (2, 7.0)
 
     def test_shorter_distance_replaces(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=3, sigma=5.0)
-        ms.apply_contribution(0, host=2, d=2, sigma=1.0)
+        ex = batch_executor([0])
+        report(ex, self.V, (1, 0, 3, 5.0))
+        report(ex, self.V, (2, 0, 2, 1.0))
+        ms = ex.masters.to_rows()[self.V]
         assert ms.best[0] == (2, 1.0)
         assert ms.entries == [(2, 0)]
 
     def test_stale_host_report_ignored(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=2, sigma=1.0)
-        ms.apply_contribution(0, host=1, d=5, sigma=9.0)
-        assert ms.best[0] == (2, 1.0)
+        ex = batch_executor([0])
+        report(ex, self.V, (1, 0, 2, 1.0))
+        report(ex, self.V, (1, 0, 5, 9.0))
+        assert ex.masters.to_rows()[self.V].best[0] == (2, 1.0)
 
     def test_fire_schedule_positions(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)  # pos 1 → round 2
-        ms.apply_contribution(1, host=1, d=1, sigma=1.0)  # pos 2 → round 3
-        assert ms.next_fire(1) is None
-        assert ms.next_fire(2) == (1, 0, 1.0)
-        assert ms.next_fire(3) == (1, 1, 1.0)
-        assert ms.tau == {0: 2, 1: 3}
+        ex = batch_executor([0, 1])
+        # (1, 0) at position 1 → round 2; (1, 1) at position 2 → round 3.
+        report(ex, self.V, (1, 0, 1, 1.0), (1, 1, 1, 1.0))
+        assert self.V not in [gid for gid, *_ in fire(ex, 1)]  # sources only
+        assert fire(ex, 2) == [(self.V, 0, 1, 1.0)]
+        assert fire(ex, 3) == [(self.V, 1, 1, 1.0)]
+        assert ex.masters.to_rows()[self.V].tau == {0: 2, 1: 3}
 
 
 class TestInputValidation:

@@ -1,107 +1,111 @@
-"""White-box tests for the MRBC engine executor internals:
-local-list maintenance, delayed-sync staging, and backward scheduling."""
+"""White-box tests for the MRBC batch executor internals: derived
+local lists, delayed-sync staging, and backward scheduling."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.brandes import brandes_bc
-from repro.core.mrbc import INF, _BatchExecutor, mrbc_engine
-from repro.engine.gluon import GluonSubstrate
+from repro.core.mrbc import INF, _ArrayBatchExecutor, mrbc_engine
 from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
 from repro.graph.builders import from_edges
+from repro.runtime.plane import GluonArrayPlane
 
 
 def make_executor(g, batch, H=2, delayed=True):
     pg = partition_graph(g, H, "cvc")
     run = EngineRun(num_hosts=H)
-    gluon = GluonSubstrate(pg)
-    return _BatchExecutor(pg, gluon, run, np.asarray(batch, dtype=np.int64), delayed)
+    return _ArrayBatchExecutor(
+        pg, GluonArrayPlane(pg), run, np.asarray(batch, dtype=np.int64), delayed
+    )
+
+
+def mark_unsent(ex, *rows):
+    ex.arena.unsent.set_many(np.asarray(rows, dtype=np.int64))
 
 
 class TestLocalListMaintenance:
+    """A proxy's sorted ``(d, si)`` list is derived from its candidate
+    row, so every candidate update is reflected without list upkeep."""
+
     def test_insert_and_replace(self):
         g = gen.path_graph(4, bidirectional=False)
-        ex = make_executor(g, [0, 1])
-        st = ex.hosts[0]
-        ex._update_local_list(st, 2, 0, INF, 5)
-        assert st.local_lists[2] == [(5, 0)]
-        assert 2 in st.unsent
-        ex._update_local_list(st, 2, 0, 5, 3)  # improvement replaces
-        assert st.local_lists[2] == [(3, 0)]
-        ex._update_local_list(st, 2, 1, INF, 3)  # second source
-        assert st.local_lists[2] == [(3, 0), (3, 1)]
+        ex = make_executor(g, [0, 1], H=1)  # one host: arena row == lid
+        A = ex.arena
+        assert A.cand_dist[2, 0] == INF
+        A.cand_dist[2, 0] = 5
+        assert A.derive_local_lists(0)[2] == [(5, 0)]
+        A.cand_dist[2, 0] = 3  # improvement replaces
+        assert A.derive_local_lists(0)[2] == [(3, 0)]
+        A.cand_dist[2, 1] = 3  # second source
+        assert A.derive_local_lists(0)[2] == [(3, 0), (3, 1)]
+        assert list(A.derive_local_lists(0)) == [2]  # only vertices with candidates
 
     def test_same_distance_noop_on_list(self):
         g = gen.path_graph(3, bidirectional=False)
-        ex = make_executor(g, [0])
-        st = ex.hosts[0]
-        ex._update_local_list(st, 1, 0, INF, 2)
-        ex._update_local_list(st, 1, 0, 2, 2)  # σ-only update
-        assert st.local_lists[1] == [(2, 0)]
+        ex = make_executor(g, [0], H=1)
+        A = ex.arena
+        A.cand_dist[1, 0] = 2
+        A.cand_sigma[1, 0] = 1.0
+        A.cand_sigma[1, 0] += 1.0  # σ-only update
+        assert A.derive_local_lists(0)[1] == [(2, 0)]
 
 
 class TestDelayedStaging:
     def test_stages_only_due_pairs(self):
         g = gen.path_graph(4, bidirectional=False)
         ex = make_executor(g, [0, 1], H=1)
-        st = ex.hosts[0]
-        st.cand_dist[2, 0] = 1
-        st.cand_sigma[2, 0] = 1.0
-        st.cand_dist[2, 1] = 3
-        st.cand_sigma[2, 1] = 2.0
-        ex._update_local_list(st, 2, 0, INF, 1)
-        ex._update_local_list(st, 2, 1, INF, 3)
+        A = ex.arena
+        A.cand_dist[2, 0] = 1
+        A.cand_sigma[2, 0] = 1.0
+        A.cand_dist[2, 1] = 3
+        A.cand_sigma[2, 1] = 2.0
+        mark_unsent(ex, 2)
         rs = ex.run.new_round("forward")
-        pending = [[] for _ in range(1)]
         # Round 1: (1,0) at position 1 → due round 2 → staged (arrives at
         # its due round); (3,1) at position 2 → due 5 → not staged.
-        ex._stage_delayed(1, pending, rs)
-        assert len(pending[0]) == 1
-        assert pending[0][0][1] == 0  # source index 0
-        assert st.sent_d[2, 0] == 1
+        staged, any_work = ex._stage_delayed(1, rs)
+        assert len(staged) == 1
+        assert staged.cols[0].tolist() == [0]  # source index 0
+        assert A.sent_d[2, 0] == 1
+        assert any_work and 2 in A.unsent  # (3,1) still unsent
         # Round 4: the second pair becomes due.
-        pending = [[] for _ in range(1)]
-        ex._stage_delayed(4, pending, rs)
-        assert len(pending[0]) == 1
-        assert pending[0][0][1] == 1
+        staged, _ = ex._stage_delayed(4, rs)
+        assert len(staged) == 1
+        assert staged.cols[0].tolist() == [1]
 
     def test_no_restaging_once_sent(self):
         g = gen.path_graph(3, bidirectional=False)
         ex = make_executor(g, [0], H=1)
-        st = ex.hosts[0]
-        st.cand_dist[1, 0] = 1
-        st.cand_sigma[1, 0] = 1.0
-        ex._update_local_list(st, 1, 0, INF, 1)
+        A = ex.arena
+        A.cand_dist[1, 0] = 1
+        A.cand_sigma[1, 0] = 1.0
+        mark_unsent(ex, 1)
         rs = ex.run.new_round("forward")
-        p1 = [[]]
-        ex._stage_delayed(2, p1, rs)
-        assert len(p1[0]) == 1
-        p2 = [[]]
-        ex._stage_delayed(3, p2, rs)
-        assert p2[0] == []
-        assert not st.unsent  # cleaned up
+        p1, _ = ex._stage_delayed(2, rs)
+        assert len(p1) == 1
+        p2, any_work = ex._stage_delayed(3, rs)
+        assert len(p2) == 0 and not any_work
+        assert not A.unsent.any()  # cleaned up
 
     def test_sigma_growth_after_send_restages(self):
         g = gen.path_graph(3, bidirectional=False)
         ex = make_executor(g, [0], H=1)
-        st = ex.hosts[0]
-        st.cand_dist[1, 0] = 1
-        st.cand_sigma[1, 0] = 1.0
-        ex._update_local_list(st, 1, 0, INF, 1)
+        A = ex.arena
+        A.cand_dist[1, 0] = 1
+        A.cand_sigma[1, 0] = 1.0
+        mark_unsent(ex, 1)
         rs = ex.run.new_round("forward")
-        p1 = [[]]
-        ex._stage_delayed(2, p1, rs)
-        assert st.sent_d[1, 0] == 1
-        # Simulate the executor's σ-growth path: reset sent flag.
-        st.cand_sigma[1, 0] = 2.0
-        st.sent_d[1, 0] = -1
-        st.unsent.add(1)
-        p2 = [[]]
-        ex._stage_delayed(2, p2, rs)
-        assert len(p2[0]) == 1
-        assert p2[0][0][3] == 2.0  # the refreshed σ
+        ex._stage_delayed(2, rs)
+        assert A.sent_d[1, 0] == 1
+        # Simulate the relax sweep's σ-growth path: reset the sent mark.
+        A.cand_sigma[1, 0] = 2.0
+        A.sent_d[1, 0] = -1
+        mark_unsent(ex, 1)
+        p2, _ = ex._stage_delayed(2, rs)
+        assert len(p2) == 1
+        assert p2.cols[2].tolist() == [2.0]  # the refreshed σ
 
 
 class TestBackwardScheduling:
@@ -109,13 +113,14 @@ class TestBackwardScheduling:
         g = from_edges(3, [(0, 1), (1, 2)])
         ex = make_executor(g, [0], H=1)
         ex.run_forward()
-        taus = {gid: ms.tau[0] for gid, ms in ex.masters.items() if ms.tau}
+        M = ex.masters
+        taus = {g_: int(M.tau[0, g_]) for g_ in M.master_order if M.fired[0, g_]}
         ex.run_backward()
         # Vertex 2 (latest forward τ) fires earliest backward; the source
         # never fires.  δ values are the exact Brandes dependencies.
         assert taus[2] > taus[1] > taus[0]
-        assert np.isclose(ex.delta[1][0], 1.0)  # 1 lies on the 0→2 path
-        assert np.isclose(ex.delta[0][0], 2.0)  # source dependency
+        assert np.isclose(ex.delta[0, 1], 1.0)  # 1 lies on the 0→2 path
+        assert np.isclose(ex.delta[0, 0], 2.0)  # source dependency
 
     def test_bc_excludes_source(self):
         g = from_edges(3, [(0, 1), (1, 2)])

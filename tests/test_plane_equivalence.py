@@ -1,139 +1,37 @@
-"""Dict-vs-array execution-tier equivalence: bit-identical, not approximate.
+"""MRBC and SBBC reproduce their golden records bit for bit.
 
-The columnar tier (``plane="array"``) is an *execution* optimization: it
-must not be observable.  For every case here the two planes must agree
-on
-
-- the full :meth:`~repro.engine.stats.EngineRun.deterministic_signature`
-  (rounds, bytes, pair messages, per-host op counts, load imbalance),
-- BC / distance / sigma outputs **bitwise** (``tobytes`` equality, not
-  ``allclose`` — the vectorized float reductions replay the reference
-  plane's exact accumulation orders),
-- and, for the fault cases, the recovery behaviour under an injected
-  host crash with channel repair enabled.
-
-The graph suite spans the paper's three regimes (ER random, web-crawl
-with long tails, grid road) plus RMAT, across host counts that exercise
-single-host, uneven, and full fan-out partitions.
+Every case of :mod:`tests.test_engine_golden` runs on the columnar plane
+and must match its recorded signature, round counts and output digests.
+Outputs compare bitwise, not with ``allclose``: the vectorized kernels
+replay the sequential per-item accumulation order exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.baselines.sbbc import sbbc_engine
-from repro.core.mrbc import mrbc_engine
-from repro.graph.generators import from_spec
-from repro.resilience.context import ResilienceContext
-from repro.resilience.plan import FaultPlan, FaultSpec
-
-#: (graph spec, hosts, delayed_sync, batch) — MRBC axis.
-MRBC_CASES = [
-    ("er:60:3", 4, True, 8),
-    ("er:60:3", 8, True, 4),
-    ("er:60:3", 1, True, 8),
-    ("er:60:3", 4, False, 8),
-    ("er:200:4", 4, True, 8),
-    ("grid:8:8", 8, True, 4),
-    ("grid:8:8", 3, False, 5),
-    ("webcrawl:120:80", 8, True, 8),
-    ("rmat:8:8", 8, True, 8),
-]
-
-#: (graph spec, hosts) — SBBC axis.
-SBBC_CASES = [
-    ("er:60:3", 4),
-    ("er:60:3", 8),
-    ("er:60:3", 1),
-    ("er:200:4", 8),
-    ("grid:8:8", 3),
-    ("webcrawl:120:80", 8),
-    ("rmat:8:8", 8),
-]
-
-
-def _assert_equivalent(a, b) -> None:
-    assert a.run.deterministic_signature() == b.run.deterministic_signature()
-    assert np.array_equal(a.dist, b.dist)
-    assert a.sigma.tobytes() == b.sigma.tobytes()
-    assert a.bc.tobytes() == b.bc.tobytes()
+from tests.test_engine_golden import (
+    MRBC_CASES,
+    SBBC_CASES,
+    assert_matches_golden,
+    mrbc_case_id,
+    sbbc_case_id,
+)
 
 
 @pytest.mark.parametrize("spec,hosts,delayed,batch", MRBC_CASES)
 def test_mrbc_array_plane_is_bit_identical(spec, hosts, delayed, batch):
-    g = from_spec(spec, seed=7)
-    ns = min(24, g.num_vertices)
-    kwargs = dict(
-        num_sources=ns,
-        batch_size=batch,
-        num_hosts=hosts,
-        delayed_sync=delayed,
-        seed=7,
-    )
-    a = mrbc_engine(g, plane="dict", **kwargs)
-    b = mrbc_engine(g, plane="array", **kwargs)
-    _assert_equivalent(a, b)
+    assert_matches_golden(mrbc_case_id(spec, hosts, delayed, batch))
 
 
 @pytest.mark.parametrize("spec,hosts", SBBC_CASES)
 def test_sbbc_array_plane_is_bit_identical(spec, hosts):
-    g = from_spec(spec, seed=7)
-    srcs = list(range(min(16, g.num_vertices)))
-    a = sbbc_engine(g, sources=srcs, num_hosts=hosts, plane="dict")
-    b = sbbc_engine(g, sources=srcs, num_hosts=hosts, plane="array")
-    _assert_equivalent(a, b)
-    assert a.forward_rounds == b.forward_rounds
-    assert a.backward_rounds == b.backward_rounds
-
-
-def _crash_ctx() -> ResilienceContext:
-    return ResilienceContext(
-        plan=FaultPlan(
-            name="crash1",
-            seed=7,
-            specs=(FaultSpec(kind="crash", host=1, round=3),),
-        ),
-        mode="repair",
-    )
+    assert_matches_golden(sbbc_case_id(spec, hosts))
 
 
 def test_mrbc_crash_restart_equivalence():
-    """Under an injected crash the array plane routes every exchange
-    through the guarded tuple substrate; restart accounting (recovery
-    rounds, replayed work) must stay bit-identical too."""
-    g = from_spec("er:60:3", seed=7)
-    runs = [
-        mrbc_engine(
-            g,
-            num_sources=8,
-            batch_size=4,
-            num_hosts=4,
-            seed=7,
-            resilience=_crash_ctx(),
-            plane=plane,
-        )
-        for plane in ("dict", "array")
-    ]
-    _assert_equivalent(*runs)
+    assert_matches_golden("mrbc/crash-restart")
 
 
 def test_sbbc_crash_restart_equivalence():
-    g = from_spec("er:60:3", seed=7)
-    runs = [
-        sbbc_engine(
-            g,
-            sources=list(range(8)),
-            num_hosts=4,
-            resilience=_crash_ctx(),
-            plane=plane,
-        )
-        for plane in ("dict", "array")
-    ]
-    _assert_equivalent(*runs)
-
-
-def test_sbbc_rejects_unknown_plane():
-    g = from_spec("er:60:3", seed=7)
-    with pytest.raises(ValueError, match="plane"):
-        sbbc_engine(g, sources=[0], num_hosts=2, plane="nope")
+    assert_matches_golden("sbbc/crash-restart")

@@ -1,15 +1,18 @@
 """Property-based tests for the engine layer: partition invariants,
-Gluon wire-format round-trips, and cross-implementation agreement."""
+Gluon wire-format round-trips, cross-implementation agreement, and
+MRBC/SBBC against the sequential Brandes reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.baselines.sbbc import sbbc_engine
 from repro.core.lenzen_peleg import lenzen_peleg_apsp
 from repro.core.mrbc import mrbc_engine
 from repro.engine.partition import partition_graph
 from repro.engine.serialize import decode_message, encode_message
+from repro.graph import generators as gen
 from repro.graph.digraph import DiGraph
 
 FMT = "<i d"
@@ -114,3 +117,41 @@ class TestCrossImplementationAgreement:
         assert (
             mr.stats.count_for_tag("apsp") <= lp.stats.count_for_tag("lp")
         )
+
+
+class TestBrandesReference:
+    """Both engines against sequential Brandes on random inputs: exact
+    distances and path counts, BC up to float reassociation."""
+
+    @given(
+        n=st.integers(2, 30),
+        avg_degree=st.floats(0.5, 4.0),
+        graph_seed=st.integers(0, 2**16),
+        hosts=st.integers(1, 8),
+        policy=st.sampled_from(["cvc", "oec", "iec"]),
+        batch=st.integers(1, 9),
+        delayed=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_engines_match_brandes(
+        self, n, avg_degree, graph_seed, hosts, policy, batch, delayed, data
+    ):
+        g = gen.erdos_renyi(n, avg_degree, seed=graph_seed)
+        srcs = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="sources",
+        )
+        pg = partition_graph(g, hosts, policy)
+        mr = mrbc_engine(
+            g, sources=srcs, batch_size=batch, partition=pg, delayed_sync=delayed
+        )
+        sb = sbbc_engine(g, sources=srcs, partition=pg)
+        for i, s in enumerate(srcs):
+            dist, sigma, _preds, _order = brandes_sssp(g, s)
+            for res in (mr, sb):
+                assert np.array_equal(res.dist[i], dist)
+                assert np.array_equal(res.sigma[i], sigma)
+        ref = brandes_bc(g, sources=srcs)
+        assert np.allclose(mr.bc, ref)
+        assert np.allclose(sb.bc, ref)

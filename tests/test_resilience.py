@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.baselines.brandes import brandes_bc
+from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.cluster.model import ClusterModel
+import repro.core.mrbc as mrbc_mod
 from repro.core.mrbc import MasterVertexState, mrbc_engine
 from repro.engine.persist import (
     load_checkpoint,
@@ -37,6 +38,7 @@ from repro.resilience import (
     run_under_faults,
 )
 from repro.resilience.plan import DEFAULT_PLANS
+from repro.runtime.arrays import MasterColumns
 from tests.conftest import some_sources
 
 HOSTS = 4
@@ -462,47 +464,89 @@ class TestCheckpointHardening:
 
 class TestInvariants:
     def _master(self):
+        # Host 1 reported (d=1, σ=2) for source 0 at vertex 5; the entry
+        # fired on schedule in round 2 (position 0: τ = d + 0 + 1).
         ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=2.0)
-        assert ms.next_fire(2) == (1, 0, 2.0)
-        return ms
+        ms.entries = [(1, 0)]
+        ms.best = {0: (1, 2.0)}
+        ms.contrib = {0: {1: (1, 2.0)}}
+        ms.tau = {0: 2}
+        ms.sent_prefix = 1
+        M = MasterColumns(k=1, n=6, num_hosts=2)
+        M.from_rows({5: ms})
+        return M
 
     def test_detect_raises_on_prefix_mutation(self):
         ctx = ResilienceContext(mode="detect")
         chk = InvariantChecker("detect", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.entries[0] = (0, 0)  # tamper with the fired prefix
+        M = self._master()
+        chk.check_master_round(2, M)
+        M.ent_d[0, 5] = 0  # tamper with the fired prefix
         with pytest.raises(InvariantViolation):
-            chk.check_master_round(3, {5: ms})
+            chk.check_master_round(3, M)
         assert ctx.invariant_violations["sent_prefix_immutability"] == 1
 
     def test_repair_rolls_back_prefix(self):
         ctx = ResilienceContext(mode="repair")
         chk = InvariantChecker("repair", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.entries[0] = (0, 0)
-        chk.check_master_round(3, {5: ms})  # repaired, no raise
-        assert ms.entries[0] == (1, 0)
+        M = self._master()
+        chk.check_master_round(2, M)
+        M.ent_d[0, 5] = 0
+        chk.check_master_round(3, M)  # repaired, no raise
+        assert M.ent_d[0, 5] == 1
         assert ctx.recovered_by_kind.get("state_rollback", 0) == 1
 
     def test_detect_raises_on_sigma_regression(self):
         ctx = ResilienceContext(mode="detect")
         chk = InvariantChecker("detect", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.best[0] = (1, 1.0)  # σ shrank at the same distance
+        M = self._master()
+        chk.check_master_round(2, M)
+        M.best_sigma[0, 5] = 1.0  # σ shrank at the same distance
         with pytest.raises(InvariantViolation):
-            chk.check_master_round(3, {5: ms})
+            chk.check_master_round(3, M)
+
+    def test_repair_rolls_back_sigma(self):
+        ctx = ResilienceContext(mode="repair")
+        chk = InvariantChecker("repair", ctx)
+        M = self._master()
+        chk.check_master_round(2, M)
+        M.best_sigma[0, 5] = 1.0
+        chk.check_master_round(3, M)
+        assert M.best_sigma[0, 5] == 2.0
+        assert ctx.invariant_violations["sigma_monotonicity"] == 1
 
     def test_schedule_violation_not_repairable(self):
         ctx = ResilienceContext(mode="repair")
         chk = InvariantChecker("repair", ctx)
-        ms = self._master()
-        ms.tau[0] = 9  # fired timestamp off schedule: cannot roll back
+        M = self._master()
+        M.tau[0, 5] = 9  # fired timestamp off schedule: cannot roll back
         with pytest.raises(InvariantViolation):
-            chk.check_master_round(2, {5: ms})
+            chk.check_master_round(2, M)
+
+    def test_repair_reaches_engine_result(self, monkeypatch):
+        """A repair-mode rollback edits the executor's live master
+        state, so the batch finishes with the right σ."""
+        g = gen.erdos_renyi(40, 3.0, seed=7)
+        srcs = [0, 1, 2, 3]
+
+        class SigmaCorrupting(mrbc_mod._ArrayBatchExecutor):
+            def _emit_fires(self, rnd, rs):
+                out = super()._emit_fires(rnd, rs)
+                if rnd == 4:  # lower σ* of one fired non-source cell
+                    fired = self.masters.fired.copy()
+                    fired[:, srcs] = False
+                    si, gid = np.argwhere(fired)[0]
+                    self.masters.best_sigma[si, gid] -= 0.5
+                return out
+
+        monkeypatch.setattr(mrbc_mod, "_ArrayBatchExecutor", SigmaCorrupting)
+        ctx = ResilienceContext(plan=None, mode="repair")
+        res = mrbc_engine(g, sources=srcs, batch_size=4, num_hosts=2, resilience=ctx)
+        assert ctx.invariant_violations["sigma_monotonicity"] == 1
+        assert ctx.recovered_by_kind["state_rollback"] == 1
+        for i, s in enumerate(srcs):
+            assert np.array_equal(res.sigma[i], brandes_sssp(g, s)[1])
+        assert np.allclose(res.bc, brandes_bc(g, sources=srcs))
 
 
 # -- persistence v2 ------------------------------------------------------------
